@@ -2,8 +2,8 @@
 //
 // Builds a reliable-FIFO group whose members are real UDP sockets on
 // 127.0.0.1, driven by a sharded epoll executor — the exact same layer
-// code the deterministic simulator runs, with only the medium swapped
-// underneath the Endpoint. Each member multicasts a stream of numbered
+// code the deterministic simulator runs, with only the Transport under the
+// stacks swapped. Each member multicasts a stream of numbered
 // messages; the loop waits until every copy is delivered everywhere (the
 // ReliableLayer's NACK machinery recovers any datagram the kernel
 // dropped), then prints per-member delivery counts, transport stats, and a

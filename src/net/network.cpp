@@ -18,6 +18,15 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// A TransportTimer is the scheduler's EventId packed as slot | gen << 32.
+// Generations start at 1, so a live token is never 0.
+std::uint64_t pack(EventId ev) {
+  return std::uint64_t{ev.slot} | (std::uint64_t{ev.gen} << 32);
+}
+EventId unpack(std::uint64_t v) {
+  return EventId{static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(v >> 32)};
+}
+
 }  // namespace
 
 Network::Network(Scheduler& sched, Rng rng, NetConfig cfg)
@@ -32,7 +41,7 @@ Rng& Network::link_rng(NodeId from, NodeId to) {
   return it->second;
 }
 
-NodeId Network::add_node() {
+NodeId Network::add_node(std::size_t /*shard_hint*/) {
   nodes_.push_back(Node{});
   return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
@@ -358,6 +367,14 @@ void Network::crash_node(NodeId node) {
 void Network::restart_node(NodeId node) {
   assert(node.v < nodes_.size());
   nodes_[node.v].up = true;
+}
+
+TransportTimer Network::set_timer(NodeId /*node*/, Duration delay, UniqueFunction<void()> fn) {
+  return TransportTimer{pack(sched_.after(delay, std::move(fn)))};
+}
+
+void Network::cancel_timer(NodeId /*node*/, TransportTimer timer) {
+  sched_.cancel(unpack(timer.v));
 }
 
 void Network::consume_cpu(NodeId node, Duration d) {

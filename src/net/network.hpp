@@ -11,6 +11,11 @@
 //   - link up/down control for partition experiments.
 //
 // All delays are deterministic functions of the seeded Rng.
+//
+// The Network is the simulator's implementation of Transport, so a stack
+// runs over it exactly as it runs over threads or sockets. Timers are plain
+// scheduler events: a TransportTimer is the packed EventId, and a stale
+// token cancels nothing because the scheduler checks the generation.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,7 @@
 
 #include "net/node_id.hpp"
 #include "net/stats.hpp"
+#include "net/transport.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 #include "util/bytes.hpp"
@@ -29,16 +35,6 @@
 #include "util/rng.hpp"
 
 namespace msw {
-
-/// A datagram in flight. `src` is trustworthy in the simulator (the network
-/// stamps it); protocols must not rely on it for *authenticated* identity —
-/// that is what the integrity layer is for. The payload is a shared
-/// refcounted buffer: an N-destination multicast enqueues N Packets that
-/// alias one allocation (hardware multicast in memory as on the wire).
-struct Packet {
-  NodeId src;
-  Payload data;
-};
 
 struct NetConfig {
   /// One-way propagation latency between distinct nodes.
@@ -63,17 +59,6 @@ struct NetConfig {
   bool sample_delivery_latency = false;
 };
 
-/// Receiver callback installed per node. Move-only with inline storage:
-/// installing a stack's receive hook never heap-allocates, and the
-/// dispatch is one indirect call.
-using PacketHandler = UniqueFunction<void(Packet)>;
-
-/// Optional batched receive callback: a coalesced run of same-instant
-/// packets from one sender, delivered in one scheduler event. Nodes without
-/// one installed receive runs through their PacketHandler, one call per
-/// packet, in the same order.
-using PacketRunHandler = UniqueFunction<void(NodeId src, std::span<const Payload> run)>;
-
 /// Per-copy perturbation hook consulted for every unicast/multicast copy
 /// that survived the link and loss checks (loopback copies are exempt).
 /// The fault plane (net/fault.hpp) implements this; the Network stays free
@@ -96,32 +81,33 @@ class FaultInjector {
   virtual CopyPlan on_copy(NodeId from, NodeId to, Time now) = 0;
 };
 
-class Network {
+class Network final : public Transport {
  public:
   Network(Scheduler& sched, Rng rng, NetConfig cfg);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Create a new node; ids are dense and creation-ordered.
-  NodeId add_node();
+  /// Create a new node; ids are dense and creation-ordered. The shard hint
+  /// is meaningless on the single-threaded simulator and ignored.
+  NodeId add_node(std::size_t shard_hint = 0) override;
 
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Install the receive callback for a node (required before traffic).
-  void set_handler(NodeId node, PacketHandler handler);
+  void set_handler(NodeId node, PacketHandler handler) override;
 
   /// Install the batched receive callback for a node (optional; see
   /// PacketRunHandler). Only coalesced runs from multicast_run use it.
-  void set_run_handler(NodeId node, PacketRunHandler handler);
+  void set_run_handler(NodeId node, PacketRunHandler handler) override;
 
   /// Point-to-point datagram. Sending to self uses the loopback path.
-  void send(NodeId from, NodeId to, Payload data);
+  void send(NodeId from, NodeId to, Payload data) override;
 
   /// Hardware multicast: one serialization on the wire, every destination
   /// (including `from` itself, if listed) receives a copy. The copies all
   /// share `data`'s buffer — fan-out is O(1) per destination, not O(bytes).
-  void multicast(NodeId from, const std::vector<NodeId>& to, Payload data);
+  void multicast(NodeId from, const std::vector<NodeId>& to, Payload data) override;
 
   /// Batched multicast: behaves exactly like calling multicast() once per
   /// element of `msgs`, in order — same per-link RNG draws, same fault
@@ -133,7 +119,16 @@ class Network {
   /// tables live in the scheduler's tick arena; nothing per-message is
   /// allocated for the common all-arrivals-equal case beyond one shared
   /// payload vector.
-  void multicast_run(NodeId from, const std::vector<NodeId>& to, std::span<const Payload> msgs);
+  void multicast_run(NodeId from, const std::vector<NodeId>& to,
+                     std::span<const Payload> msgs) override;
+
+  /// One-shot timer: a scheduler event `delay` from now. Any node's timers
+  /// share the one scheduler, so `node` is not consulted.
+  TransportTimer set_timer(NodeId node, Duration delay, UniqueFunction<void()> fn) override;
+  void cancel_timer(NodeId node, TransportTimer timer) override;
+
+  /// Simulated time.
+  Time now() const override { return sched_.now(); }
 
   /// Partition control. Both directions are affected independently.
   void set_link_up(NodeId from, NodeId to, bool up);
@@ -168,7 +163,9 @@ class Network {
   /// Occupy the node's CPU for `d` starting now (protocol processing such
   /// as the sequencer's ordering work). Subsequent sends and receive
   /// processing at this node queue behind it.
-  void consume_cpu(NodeId node, Duration d);
+  void consume_cpu(NodeId node, Duration d) override;
+
+  TickArena* tick_arena() override { return &sched_.tick_arena(); }
 
   NetStats& stats() { return stats_; }
   const NetStats& stats() const { return stats_; }

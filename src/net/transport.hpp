@@ -1,15 +1,15 @@
-// The transport/executor boundary of the runtime.
+// The substrate boundary: everything a protocol stack needs from the world
+// below it.
 //
-// A Transport is everything a protocol stack needs from the world below
-// it: datagram send/multicast, a receive callback per node, one-shot
-// timers, and a monotonic clock. The paper's SP and meta-property
+// A Transport offers datagram send/multicast, a receive callback per node,
+// one-shot timers, and a monotonic clock. The paper's SP and meta-property
 // guarantees are properties of the layer stack, not of the medium, so the
 // same src/stack layers (unchanged, no medium #ifdefs) run over any
 // implementation of this interface:
 //
-//   SimTransport       the deterministic discrete-event simulator
-//                      (src/sim + src/net), byte-identical to driving the
-//                      Network directly — the test substrate.
+//   Network            the deterministic discrete-event simulator
+//                      (src/sim + src/net) — the reference implementation
+//                      and the test substrate.
 //   LoopbackTransport  in-process delivery between real threads through
 //                      lock-free MPSC inboxes — the threading substrate.
 //   UdpTransport       real UDP sockets on an epoll event loop — the wire
@@ -24,16 +24,38 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "net/network.hpp"
 #include "net/node_id.hpp"
 #include "sim/time.hpp"
+#include "util/function_ref.hpp"
 #include "util/payload.hpp"
 
 namespace msw {
+
+class TickArena;
+
+/// A datagram in flight. `src` is stamped by the medium; protocols must not
+/// rely on it for *authenticated* identity — that is what the integrity
+/// layer is for. The payload is a shared refcounted buffer: an
+/// N-destination multicast hands out N Packets that alias one allocation
+/// (hardware multicast in memory as on the wire).
+struct Packet {
+  NodeId src;
+  Payload data;
+};
+
+/// Receiver callback installed per node. Move-only with inline storage:
+/// installing a stack's receive hook never heap-allocates, and the
+/// dispatch is one indirect call.
+using PacketHandler = UniqueFunction<void(Packet)>;
+
+/// Optional batched receive callback: a coalesced run of same-instant
+/// packets from one sender, delivered in one call. Nodes without one
+/// installed receive runs through their PacketHandler, one call per packet,
+/// in the same order.
+using PacketRunHandler = UniqueFunction<void(NodeId src, std::span<const Payload> run)>;
 
 /// Handle for a pending transport timer. Backends mint tokens unique for
 /// the transport's lifetime; 0 is never issued.
@@ -78,8 +100,10 @@ class Transport {
 
   /// One-shot timer on the node's execution context. Threaded backends
   /// require the call to come from that same context (layer code always
-  /// does); the sim accepts it from anywhere in its single thread.
-  virtual TransportTimer set_timer(NodeId node, Duration delay, std::function<void()> fn) = 0;
+  /// does); the sim accepts it from anywhere in its single thread. The
+  /// callback is move-only with inline storage, so arming a timer with a
+  /// small closure never heap-allocates.
+  virtual TransportTimer set_timer(NodeId node, Duration delay, UniqueFunction<void()> fn) = 0;
 
   /// Cancel a pending timer; the callback is dropped. Cancelling an
   /// already-fired or unknown timer is a no-op.
@@ -96,9 +120,6 @@ class Transport {
   /// The sim scheduler's per-tick allocator, or nullptr on real backends
   /// (batch paths then fall back to per-context scratch buffers).
   virtual TickArena* tick_arena() { return nullptr; }
-
-  /// True when this backend replays identically for a fixed seed (the sim).
-  virtual bool deterministic() const = 0;
 };
 
 }  // namespace msw

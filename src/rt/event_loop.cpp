@@ -93,7 +93,7 @@ bool EventLoop::inbox_empty_hint() const {
   return tail_->next.load(std::memory_order_acquire) == nullptr;
 }
 
-std::uint64_t EventLoop::add_timer(std::int64_t deadline_ns, Task t) {
+std::uint64_t EventLoop::add_timer(std::int64_t deadline_ns, TimerFn t) {
   const std::uint64_t token = next_timer_token_++;
   timers_.emplace(token, std::move(t));
   timer_heap_.push(TimerEntry{deadline_ns, token});
@@ -131,7 +131,7 @@ void EventLoop::fire_due_timers(std::int64_t now) {
     timer_heap_.pop();
     auto it = timers_.find(e.token);
     if (it == timers_.end()) continue;  // cancelled
-    Task fn = std::move(it->second);
+    TimerFn fn = std::move(it->second);
     timers_.erase(it);
     ++timers_fired_;
 #if MSW_RT_STATS_ENABLED

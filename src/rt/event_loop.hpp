@@ -26,6 +26,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/function_ref.hpp"
+
 // Compile-time gate for the hot-path health instrumentation (drain-pass
 // backlog probe, timer-lag observer calls). CMake defines it 0/1 from the
 // MSW_RT_STATS option; OFF leaves the loop byte-for-byte at its PR-8 cost
@@ -51,6 +53,9 @@ class LoopObserver {
 class EventLoop {
  public:
   using Task = std::function<void()>;
+  /// Timer callbacks are move-only with inline storage: arming a timer with
+  /// a small closure (every layer timer) never heap-allocates.
+  using TimerFn = UniqueFunction<void()>;
 
   EventLoop();
   ~EventLoop();
@@ -66,7 +71,7 @@ class EventLoop {
   /// One-shot timer at an absolute CLOCK_MONOTONIC deadline (ns). Loop
   /// thread (or wiring phase) only. Returns a token for cancel_timer; 0 is
   /// never returned.
-  std::uint64_t add_timer(std::int64_t deadline_ns, Task t);
+  std::uint64_t add_timer(std::int64_t deadline_ns, TimerFn t);
 
   /// Drop a pending timer. Unknown/fired tokens are a no-op. Loop thread
   /// (or wiring phase / post-join teardown) only.
@@ -149,7 +154,7 @@ class EventLoop {
   std::unordered_map<int, Task> fd_handlers_;
 
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timer_heap_;
-  std::unordered_map<std::uint64_t, Task> timers_;  // live timers by token
+  std::unordered_map<std::uint64_t, TimerFn> timers_;  // live timers by token
   std::uint64_t next_timer_token_ = 1;
 
   std::atomic<std::thread::id> loop_thread_{};

@@ -89,8 +89,9 @@ void RtGroup::send(std::size_t i, Bytes body) {
 #if MSW_RT_STATS_ENABLED
     if (latency_ != nullptr) {
       // stacks_[i]->sent() is the seq the imminent send will be assigned;
-      // stamping here (on the shard thread, just before submission) keeps
-      // the measurement at the Endpoint boundary without touching Stack.
+      // stamping here (on the shard thread, just before submission) starts
+      // the measurement where the message enters the stack, without
+      // touching Stack.
       const std::uint64_t seq = stacks_[i]->sent();
       if (latency_->sampled(seq)) {
         latency_->on_send(members_[i].v, seq, transport_.now());

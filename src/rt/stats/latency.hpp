@@ -1,5 +1,5 @@
 // End-to-end wall-clock latency per group: the delta between a multicast's
-// submission at the Endpoint boundary and each member's app-level delivery.
+// submission to the sender's stack and each member's app-level delivery.
 //
 // Everything here runs on the group's shard thread — the send stamp is
 // taken inside the posted send lambda, deliveries arrive through the

@@ -18,7 +18,7 @@ void ThreadedTransport::set_handler(NodeId node, PacketHandler handler) {
 }
 
 TransportTimer ThreadedTransport::set_timer(NodeId node, Duration delay,
-                                            std::function<void()> fn) {
+                                            UniqueFunction<void()> fn) {
   if (delay < 0) delay = 0;
   const std::int64_t deadline = EventLoop::now_ns() + delay * 1000;  // µs -> ns
   return TransportTimer{loop_of(node).add_timer(deadline, std::move(fn))};

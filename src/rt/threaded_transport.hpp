@@ -15,8 +15,8 @@
 #include <atomic>
 #include <deque>
 
+#include "net/transport.hpp"
 #include "rt/executor.hpp"
-#include "rt/transport.hpp"
 #include "telemetry/clock.hpp"
 
 namespace msw {
@@ -29,13 +29,12 @@ class ThreadedTransport : public Transport, public TelemetryClock {
   NodeId add_node(std::size_t shard_hint = 0) override;
   void set_handler(NodeId node, PacketHandler handler) override;
 
-  TransportTimer set_timer(NodeId node, Duration delay, std::function<void()> fn) override;
+  TransportTimer set_timer(NodeId node, Duration delay, UniqueFunction<void()> fn) override;
   void cancel_timer(NodeId node, TransportTimer timer) override;
 
   /// Monotonic wall-clock microseconds since transport construction.
   Time now() const override;
   Time telemetry_now() const override { return now(); }
-  bool deterministic() const override { return false; }
 
   /// Short backend tag for labeling stats/bench output ("loopback", "udp").
   virtual const char* backend_name() const = 0;

@@ -109,11 +109,18 @@ void UdpTransport::drain_socket(NodeId node) {
     const ssize_t n = ::recvfrom(fd, buf, sizeof buf, 0,
                                  reinterpret_cast<sockaddr*>(&src), &src_len);
     if (n < 0) {
+      if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      return;  // transient socket error: treat as an empty drain
+      // A pending socket error (e.g. an ICMP report). End this drain; the
+      // level-triggered epoll brings the loop back for anything still queued.
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     const auto it = port_to_node_.find(ntohs(src.sin_port));
-    if (it == port_to_node_.end()) continue;  // stray datagram, not ours
+    if (src.sin_addr.s_addr != htonl(INADDR_LOOPBACK) || it == port_to_node_.end()) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);  // not from one of our nodes
+      continue;
+    }
     Bytes bytes(buf, buf + n);
     deliver(node, Packet{NodeId{it->second}, Payload(std::move(bytes))});
   }

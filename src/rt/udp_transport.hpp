@@ -4,16 +4,19 @@
 // Every node binds an ephemeral loopback port; the (port -> NodeId) map is
 // built during wiring and read-only afterwards, so ingress resolves the
 // sender without any header bytes on the wire — the datagram payload is
-// exactly the protocol stack's bytes. Sends go out on the *sender's*
-// socket from the sender's shard thread; receipt is level-triggered epoll
-// on the destination's socket, drained to EAGAIN on the destination's
-// shard thread. Kernel socket buffers are the only queue in between: a
-// full receive buffer drops datagrams exactly like a real network, and the
-// reliable layer's NACK/heartbeat machinery — unchanged — recovers them.
+// exactly the protocol stack's bytes. A datagram from any other source,
+// and a receive error, is counted as rejected and never reaches a stack.
+// Sends go out on the *sender's* socket from the sender's shard thread;
+// receipt is level-triggered epoll on the destination's socket, drained to
+// EAGAIN on the destination's shard thread. Kernel socket buffers are the
+// only queue in between: a full receive buffer drops datagrams exactly like
+// a real network, and the reliable layer's NACK/heartbeat machinery —
+// unchanged — recovers them.
 #pragma once
 
 #include <netinet/in.h>
 
+#include <atomic>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +48,11 @@ class UdpTransport final : public ThreadedTransport {
   /// The UDP port a node is bound to (host byte order).
   std::uint16_t port_of(NodeId node) const { return ports_[node.v]; }
 
+  /// Ingress the transport refused: datagrams from a source that is not
+  /// one of its nodes, plus receive errors other than EAGAIN/EINTR. Kept
+  /// apart from packets_dropped(), which counts only its own traffic.
+  std::uint64_t datagrams_rejected() const { return rejected_.load(std::memory_order_relaxed); }
+
   /// True when this process can bind loopback UDP sockets — probe for
   /// environments (sandboxes) where the backend must be skipped.
   static bool available();
@@ -61,6 +69,7 @@ class UdpTransport final : public ThreadedTransport {
   std::vector<sockaddr_in> addrs_;        // per node, 127.0.0.1:port
   std::vector<std::uint16_t> ports_;      // per node, host order
   std::unordered_map<std::uint16_t, std::uint32_t> port_to_node_;
+  std::atomic<std::uint64_t> rejected_{0};
 };
 
 }  // namespace msw

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "stack/stack.hpp"
 

@@ -19,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "net/endpoint.hpp"
 #include "net/node_id.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -32,6 +31,13 @@ namespace msw {
 
 class MetricsRegistry;
 
+/// Handle for a pending timer; see Services::set_timer.
+struct TimerId {
+  std::uint64_t v = 0;
+  bool valid() const { return v != 0; }
+  friend bool operator==(TimerId a, TimerId b) { return a.v == b.v; }
+};
+
 /// Per-process services a layer may use: identity, membership, virtual
 /// time, timers, and a deterministic random stream. Provided by the Stack
 /// and shared by every layer in the process, including nested chains.
@@ -42,6 +48,8 @@ class Services {
   virtual NodeId self() const = 0;
   virtual const std::vector<NodeId>& members() const = 0;
   virtual Time now() const = 0;
+  /// One-shot timer. The callback is dropped (not fired) if cancelled or if
+  /// the process's stack is destroyed first.
   virtual TimerId set_timer(Duration delay, std::function<void()> fn) = 0;
   virtual void cancel_timer(TimerId id) = 0;
   virtual Rng& rng() = 0;

@@ -5,22 +5,14 @@
 
 namespace msw {
 
-Stack::Stack(Network& net, NodeId self, std::vector<NodeId> members,
-             std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture,
-             TelemetryHub* hub)
-    : endpoint_(net, self), members_(std::move(members)), rng_(rng), capture_(capture) {
-  wire(std::move(layers), hub);
-}
-
 Stack::Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
              std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture,
              TelemetryHub* hub)
-    : endpoint_(transport, self), members_(std::move(members)), rng_(rng), capture_(capture) {
-  wire(std::move(layers), hub);
-}
-
-void Stack::wire(std::vector<std::unique_ptr<Layer>> layers, TelemetryHub* hub) {
-  const NodeId self = endpoint_.id();
+    : transport_(transport),
+      self_(self),
+      members_(std::move(members)),
+      rng_(rng),
+      capture_(capture) {
   if (hub != nullptr) {
     tracer_ = &hub->tracer(self.v);
     metrics_ = &hub->node_metrics(self.v);
@@ -37,9 +29,34 @@ void Stack::wire(std::vector<std::unique_ptr<Layer>> layers, TelemetryHub* hub) 
       [this](Message m) { to_app(std::move(m)); },
       [this](MessageBatch b) { to_network_batch(std::move(b)); },
       [this](MessageBatch b) { to_app_batch(std::move(b)); });
-  endpoint_.set_handler([this](Packet p) { on_packet(std::move(p)); });
-  endpoint_.set_run_handler(
-      [this](NodeId src, std::span<const Payload> run) { on_packet_run(src, run); });
+  transport_.set_handler(self_, [this](Packet p) { on_packet(std::move(p)); });
+  transport_.set_run_handler(
+      self_, [this](NodeId src, std::span<const Payload> run) { on_packet_run(src, run); });
+}
+
+Stack::~Stack() {
+  for (const auto& [tid, token] : timers_) transport_.cancel_timer(self_, token);
+  timers_.clear();
+}
+
+TimerId Stack::set_timer(Duration delay, std::function<void()> fn) {
+  const std::uint64_t tid = next_timer_++;
+  // this + id + the layer's std::function: 48 bytes, inside
+  // UniqueFunction's inline buffer, so arming a timer never allocates.
+  const TransportTimer token =
+      transport_.set_timer(self_, delay, [this, tid, fn = std::move(fn)]() {
+        timers_.erase(tid);
+        fn();
+      });
+  timers_.emplace(tid, token);
+  return TimerId{tid};
+}
+
+void Stack::cancel_timer(TimerId id) {
+  auto it = timers_.find(id.v);
+  if (it == timers_.end()) return;
+  transport_.cancel_timer(self_, it->second);
+  timers_.erase(it);
 }
 
 void Stack::start() { chain_->start(); }
@@ -73,9 +90,9 @@ void Stack::send_batch(std::vector<Bytes> bodies) {
 
 void Stack::to_network(Message m) {
   if (m.is_p2p()) {
-    endpoint_.send(*m.point_to, std::move(m.data));
+    transport_.send(self_, *m.point_to, std::move(m.data));
   } else {
-    endpoint_.multicast(members_, std::move(m.data));
+    transport_.multicast(self_, members_, std::move(m.data));
   }
 }
 
@@ -86,13 +103,13 @@ void Stack::to_network_batch(MessageBatch b) {
   group_run.clear();
   auto flush = [&] {
     if (group_run.empty()) return;
-    endpoint_.multicast_run(members_, group_run);
+    transport_.multicast_run(self_, members_, group_run);
     group_run.clear();
   };
   for (Message& m : b) {
     if (m.is_p2p()) {
       flush();
-      endpoint_.send(*m.point_to, std::move(m.data));
+      transport_.send(self_, *m.point_to, std::move(m.data));
     } else {
       group_run.push_back(std::move(m.data));
     }

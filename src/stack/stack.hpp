@@ -1,15 +1,18 @@
-// One process's protocol stack: application boundary on top, network
-// endpoint at the bottom, a LayerChain in between.
+// One process's protocol stack: application boundary on top, its node on
+// a Transport at the bottom, a LayerChain in between.
 //
 // The Stack stamps every application send with a global identity
 // (AppHeader) and reports Send/Deliver events to the group's TraceCapture,
-// so captured traces match the paper's system model exactly.
+// so captured traces match the paper's system model exactly. It is also
+// the layers' Services provider: it owns the node's timer registrations,
+// so destroying a Stack drops every timer its layers left pending.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
-#include "net/endpoint.hpp"
+#include "net/transport.hpp"
 #include "stack/capture.hpp"
 #include "stack/layer.hpp"
 
@@ -26,20 +29,16 @@ using DeliverFn = std::function<void(const MsgId& id, std::span<const Byte> body
 
 class Stack : public Services {
  public:
-  /// `self` must already exist on `net`. `members` is the full group
-  /// (including self), identical at every member.
-  /// `hub`, when given, wires this node's Tracer and MetricsRegistry into
-  /// the simulation's telemetry plane; layers reach them via Services.
-  Stack(Network& net, NodeId self, std::vector<NodeId> members,
-        std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture = nullptr,
-        TelemetryHub* hub = nullptr);
-
-  /// Same stack over the runtime boundary: `self` must already exist on
-  /// `transport`. The layers are identical — the medium is the only thing
-  /// that changes (sim adapter, threaded loopback, or UDP sockets).
+  /// `self` must already exist on `transport` (the simulated Network,
+  /// threaded loopback, or UDP sockets; the layers are the same on all).
+  /// `members` is the full group (including self), identical at every
+  /// member. `hub`, when given, wires this node's Tracer and
+  /// MetricsRegistry into the telemetry plane; layers reach them via
+  /// Services.
   Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
         std::vector<std::unique_ptr<Layer>> layers, Rng rng, TraceCapture* capture = nullptr,
         TelemetryHub* hub = nullptr);
+  ~Stack() override;
 
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
@@ -77,28 +76,21 @@ class Stack : public Services {
   std::uint64_t delivered() const { return delivered_; }
 
   // Services interface (used by layers).
-  NodeId self() const override { return endpoint_.id(); }
+  NodeId self() const override { return self_; }
   const std::vector<NodeId>& members() const override { return members_; }
-  Time now() const override { return endpoint_.now(); }
-  TimerId set_timer(Duration delay, std::function<void()> fn) override {
-    return endpoint_.set_timer(delay, std::move(fn));
-  }
-  void cancel_timer(TimerId id) override { endpoint_.cancel_timer(id); }
+  Time now() const override { return transport_.now(); }
+  TimerId set_timer(Duration delay, std::function<void()> fn) override;
+  void cancel_timer(TimerId id) override;
   Rng& rng() override { return rng_; }
-  void consume_cpu(Duration d) override { endpoint_.consume_cpu(d); }
+  void consume_cpu(Duration d) override { transport_.consume_cpu(self_, d); }
   Tracer& tracer() override { return *tracer_; }
   MetricsRegistry* metrics() override { return metrics_; }
   bool batching() const override { return batching_; }
-  TickArena* tick_arena() override { return endpoint_.tick_arena(); }
+  TickArena* tick_arena() override { return transport_.tick_arena(); }
 
   LayerChain& chain() { return *chain_; }
-  Endpoint& endpoint() { return endpoint_; }
 
  private:
-  /// Shared constructor body: telemetry wiring, chain construction, and
-  /// receive-handler installation (identical for every medium).
-  void wire(std::vector<std::unique_ptr<Layer>> layers, TelemetryHub* hub);
-
   void to_network(Message m);
   void to_app(Message m);
   void on_packet(Packet p);
@@ -106,7 +98,12 @@ class Stack : public Services {
   void to_app_batch(MessageBatch b);
   void on_packet_run(NodeId src, std::span<const Payload> run);
 
-  Endpoint endpoint_;
+  Transport& transport_;
+  NodeId self_;
+  std::uint64_t next_timer_ = 1;
+  /// Pending timers: TimerId -> the transport's token. Declared ahead of
+  /// chain_, so layers may still cancel timers from their destructors.
+  std::unordered_map<std::uint64_t, TransportTimer> timers_;
   std::vector<NodeId> members_;
   Rng rng_;
   TraceCapture* capture_;

@@ -1,8 +1,13 @@
 // End-to-end determinism: the whole stack — scheduler tie-breaking, RNG
 // forking, network jitter/loss, protocol timers, SP token rotation — must
-// reproduce bit-identical traces for a given seed. Every experiment in
+// reproduce bit-identical traces for a given seed, within a build and, for
+// the pinned scenarios at the end, across builds. Every experiment in
 // EXPERIMENTS.md rests on this.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "harness/workload.hpp"
 #include "helpers.hpp"
@@ -114,6 +119,101 @@ TEST(Determinism, NetworkStatsReproducible) {
                            s.copies_dropped_loss, s.bytes_on_wire);
   };
   EXPECT_EQ(run(), run());
+}
+
+// ---------------------------------------------------------------- goldens
+//
+// The tests above compare a run with itself inside one build. These pin a
+// run's output across builds: any change to the simulator, the Transport
+// boundary, the stack or a protocol that moves one event, one timestamp or
+// one byte on the wire fails here. A change that means to move them
+// re-records the constants and says why. The scenarios draw only integer
+// randomness (no Rng::exponential, whose libm log could differ between
+// toolchains).
+
+struct Pinned {
+  std::uint64_t digest;            // trace_digest, timestamps included
+  std::uint64_t copies_delivered;  // NetStats
+  std::uint64_t bytes_on_wire;     // NetStats
+};
+
+Pinned pin(const Trace& trace, const NetStats& stats) {
+  return Pinned{trace_digest(trace), stats.copies_delivered, stats.bytes_on_wire};
+}
+
+void expect_pinned(const Pinned& got, const Pinned& want) {
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.copies_delivered, want.copies_delivered);
+  EXPECT_EQ(got.bytes_on_wire, want.bytes_on_wire);
+}
+
+TEST(DeterminismGolden, ReliableFifoUnderLoss) {
+  // Three reliable-FIFO stacks built one by one on a 5%-loss network.
+  Simulation sim(/*seed=*/42);
+  Network net(sim.scheduler(), sim.fork_rng(), testing::lossy_net(0.05));
+  constexpr std::size_t kN = 3;
+  const LayerFactory factory = make_reliable_fifo_factory();
+  TraceCapture capture;
+  std::vector<NodeId> members;
+  for (std::size_t i = 0; i < kN; ++i) members.push_back(net.add_node());
+  std::vector<std::unique_ptr<Stack>> stacks;
+  for (std::size_t i = 0; i < kN; ++i) {
+    stacks.push_back(std::make_unique<Stack>(net, members[i], members,
+                                             factory(members[i], members), sim.fork_rng(),
+                                             &capture));
+  }
+  for (auto& s : stacks) s->start();
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      stacks[i]->send(to_bytes("r" + std::to_string(round) + "n" + std::to_string(i)));
+    }
+    sim.run_for(5 * kMillisecond);
+  }
+  sim.run_for(2 * kSecond);
+  ASSERT_FALSE(capture.trace().empty());
+  expect_pinned(pin(capture.trace(), net.stats()),
+                Pinned{4321577084980187806ULL, 662, 8024});
+}
+
+TEST(DeterminismGolden, SequencerBatchedRunsUnderLoss) {
+  // Runs of 1-4 messages ride the batched data plane; with no jitter the
+  // copies of a run coalesce into one delivery at each member.
+  GroupHarness h(4, make_sequencer_factory(), testing::lossy_net(0.02), /*seed=*/5);
+  for (int k = 0; k < 16; ++k) {
+    h.sim.scheduler().at((10 + 15 * k) * kMillisecond, [&h, k] {
+      std::vector<Bytes> run;
+      for (int j = 0; j <= k % 4; ++j) {
+        run.push_back(to_bytes("b" + std::to_string(k) + "." + std::to_string(j)));
+      }
+      h.group.send_batch(static_cast<std::size_t>(k % 4), std::move(run));
+    });
+  }
+  h.sim.run_for(5 * kSecond);
+  ASSERT_FALSE(h.group.trace().empty());
+  expect_pinned(pin(h.group.trace(), h.net.stats()),
+                Pinned{3194890057958847766ULL, 755, 8614});
+}
+
+TEST(DeterminismGolden, SwitchingProtocolAcrossSwitches) {
+  // SP over {sequencer, token} on a 5%-loss network, with three switch
+  // requests from different members while traffic flows.
+  GroupHarness h(5, make_hybrid_total_order_factory(), testing::lossy_net(0.05), /*seed=*/11);
+  Rng rng(12);
+  for (int k = 0; k < 40; ++k) {
+    const std::size_t sender = rng.index(5);
+    h.sim.scheduler().at(static_cast<Time>(rng.below(1200)) * kMillisecond, [&h, sender, k] {
+      h.group.send(sender, to_bytes("s" + std::to_string(k)));
+    });
+  }
+  for (const auto& [at_ms, member] : {std::pair{200, 1}, std::pair{600, 3}, std::pair{1000, 0}}) {
+    h.sim.scheduler().at(at_ms * kMillisecond, [&h, member = member] {
+      switch_layer_of(h.group.stack(static_cast<std::size_t>(member))).request_switch();
+    });
+  }
+  h.sim.run_for(20 * kSecond);
+  ASSERT_FALSE(h.group.trace().empty());
+  expect_pinned(pin(h.group.trace(), h.net.stats()),
+                Pinned{15696953621950316703ULL, 47091, 1735409});
 }
 
 }  // namespace

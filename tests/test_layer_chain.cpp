@@ -179,5 +179,47 @@ TEST(LayerChain, MsgIdsAreUniquePerSender) {
   EXPECT_EQ(ids.size(), 5u);
 }
 
+/// A one-member stack with no layers: only its Services surface matters.
+std::unique_ptr<Stack> bare_stack(Fixture& f) {
+  const NodeId self = f.net.add_node();
+  return std::make_unique<Stack>(f.net, self, std::vector<NodeId>{self},
+                                 std::vector<std::unique_ptr<Layer>>{}, f.sim.fork_rng());
+}
+
+TEST(Stack, TimerFiresOnce) {
+  Fixture f;
+  auto stack = bare_stack(f);
+  std::vector<Time> fired;
+  const TimerId id = stack->set_timer(100, [&] { fired.push_back(f.sim.now()); });
+  EXPECT_TRUE(id.valid());
+  f.sim.run();
+  EXPECT_EQ(fired, std::vector<Time>{100});
+  stack->cancel_timer(id);  // already fired: a no-op
+}
+
+TEST(Stack, CancelledTimerDoesNotFire) {
+  Fixture f;
+  auto stack = bare_stack(f);
+  int fired = 0;
+  const TimerId id = stack->set_timer(100, [&] { ++fired; });
+  stack->cancel_timer(id);
+  f.sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(f.sim.scheduler().cancelled(), 1u);
+}
+
+TEST(Stack, DestructionCancelsTimers) {
+  Fixture f;
+  int fired = 0;
+  {
+    auto stack = bare_stack(f);
+    stack->set_timer(100, [&] { ++fired; });
+    stack->set_timer(200, [&] { ++fired; });
+  }
+  EXPECT_EQ(f.sim.scheduler().pending(), 0u);
+  f.sim.run();
+  EXPECT_EQ(fired, 0);
+}
+
 }  // namespace
 }  // namespace msw

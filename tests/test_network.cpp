@@ -1,10 +1,10 @@
 // Simulated LAN: latency model, multicast fan-out, loss, partitions,
-// CPU queueing (the sequencer-bottleneck mechanism), and endpoint timers.
+// CPU queueing (the sequencer-bottleneck mechanism), and its timers as a
+// Transport.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "net/endpoint.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
 
@@ -206,34 +206,25 @@ TEST(Network, StatsCountTraffic) {
   EXPECT_EQ(f.net.stats().copies_delivered, 3u);
 }
 
-TEST(Endpoint, TimerFiresOnce) {
+TEST(Network, StaleTimerTokenCancelsNothing) {
+  // A fired timer's token names a scheduler slot that the next timer
+  // reuses; the generation in the token keeps the stale cancel from
+  // hitting the newcomer.
   Fixture f(fast_config());
-  Endpoint ep(f.net, f.net.add_node());
-  int fired = 0;
-  ep.set_timer(100, [&] { ++fired; });
+  Transport& tr = f.net;
+  const NodeId a = tr.add_node();
+  int first = 0;
+  int second = 0;
+  const TransportTimer stale = tr.set_timer(a, 100, [&] { ++first; });
   f.sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Endpoint, CancelledTimerDoesNotFire) {
-  Fixture f(fast_config());
-  Endpoint ep(f.net, f.net.add_node());
-  int fired = 0;
-  const TimerId id = ep.set_timer(100, [&] { ++fired; });
-  ep.cancel_timer(id);
+  const TransportTimer fresh = tr.set_timer(a, 100, [&] { ++second; });
+  EXPECT_EQ(static_cast<std::uint32_t>(stale.v), static_cast<std::uint32_t>(fresh.v));  // slot
+  EXPECT_NE(stale.v, fresh.v);
+  tr.cancel_timer(a, stale);
+  tr.cancel_timer(a, TransportTimer{});
   f.sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Endpoint, DestructionCancelsTimers) {
-  Fixture f(fast_config());
-  int fired = 0;
-  {
-    Endpoint ep(f.net, f.net.add_node());
-    ep.set_timer(100, [&] { ++fired; });
-  }
-  f.sim.run();
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(Network, JitterVariesArrivals) {

@@ -1,8 +1,10 @@
 // Runtime-boundary unit tests: the event loop's MPSC inbox and timers, the
-// executor lifecycle, the threaded loopback and UDP backends, and the
-// SimTransport shim's byte-identical equivalence to the direct Network
-// path.
+// executor lifecycle, and the threaded loopback and UDP backends.
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,18 +16,11 @@
 #include "rt/executor.hpp"
 #include "rt/loopback_transport.hpp"
 #include "rt/rt_group.hpp"
-#include "rt/sim_transport.hpp"
 #include "rt/udp_transport.hpp"
-#include "sim/simulation.hpp"
-#include "stack/group.hpp"
 #include "switch/hybrid.hpp"
-
-#include "helpers.hpp"
 
 namespace msw {
 namespace {
-
-using testing::ideal_net;
 
 Bytes body_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
@@ -195,53 +190,44 @@ TEST(UdpTransport, OversizedDatagramCountsAsDropped) {
   EXPECT_EQ(tr.packets_dropped(), 1u);
 }
 
-/// Drives an identical seeded workload over a group of stacks and returns
-/// the captured trace. `use_transport` routes stack construction through a
-/// SimTransport; otherwise stacks bind the Network directly (the
-/// pre-runtime path). Everything else — seeds, RNG fork order, node
-/// creation order, sends, settle times — is identical.
-Trace sim_trace(bool use_transport) {
-  Simulation sim(/*seed=*/42);
-  Network net(sim.scheduler(), sim.fork_rng(), testing::lossy_net(0.05));
-  constexpr std::size_t kN = 3;
-  const LayerFactory factory = make_reliable_fifo_factory();
-  TraceCapture capture;
-  std::vector<NodeId> members;
-  for (std::size_t i = 0; i < kN; ++i) members.push_back(net.add_node());
-  SimTransport transport(net);
-  std::vector<std::unique_ptr<Stack>> stacks;
-  for (std::size_t i = 0; i < kN; ++i) {
-    auto layers = factory(members[i], members);
-    if (use_transport) {
-      stacks.push_back(std::make_unique<Stack>(transport, members[i], members,
-                                               std::move(layers), sim.fork_rng(), &capture));
-    } else {
-      stacks.push_back(std::make_unique<Stack>(net, members[i], members, std::move(layers),
-                                               sim.fork_rng(), &capture));
-    }
+TEST(UdpTransport, ForeignDatagramIsCountedAndNeverDelivered) {
+  if (!UdpTransport::available()) {
+    GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
   }
-  for (auto& s : stacks) s->start();
-  for (int round = 0; round < 20; ++round) {
-    for (std::size_t i = 0; i < kN; ++i) {
-      stacks[i]->send(body_of("r" + std::to_string(round) + "n" + std::to_string(i)));
-    }
-    sim.run_for(5 * kMillisecond);
-  }
-  sim.run_for(2 * kSecond);
-  return capture.trace();
-}
+  Executor ex(1);
+  UdpTransport tr(ex);
+  const NodeId a = tr.add_node();
+  const NodeId b = tr.add_node();
+  std::atomic<int> handled{0};
+  tr.set_handler(a, [&handled](Packet p) {
+    EXPECT_EQ(p.data.view().size(), 2u);  // only the transport's own "ok"
+    handled.fetch_add(1);
+  });
+  tr.set_handler(b, [](Packet) {});
+  ex.start();
 
-TEST(SimTransport, ByteIdenticalTraceVersusDirectNetworkPath) {
-  const Trace direct = sim_trace(/*use_transport=*/false);
-  const Trace via_transport = sim_trace(/*use_transport=*/true);
-  ASSERT_FALSE(direct.empty());
-  ASSERT_EQ(direct.size(), via_transport.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_EQ(direct[i], via_transport[i]) << "event " << i << " diverged";
-    // operator== ignores times; the boundary must not even shift an event
-    // by a microsecond.
-    ASSERT_EQ(direct[i].time, via_transport[i].time) << "event " << i << " time shifted";
-  }
+  // A socket outside the transport aims a datagram at node a's port.
+  const int foreign = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(foreign, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dst.sin_port = htons(tr.port_of(a));
+  const Bytes junk = body_of("not one of ours");
+  ASSERT_EQ(::sendto(foreign, junk.data(), junk.size(), 0, reinterpret_cast<sockaddr*>(&dst),
+                     sizeof dst),
+            static_cast<ssize_t>(junk.size()));
+  ::close(foreign);
+  ASSERT_TRUE(eventually([&] { return tr.datagrams_rejected() == 1u; }));
+
+  // The node still takes its own traffic, and only that.
+  tr.send(b, a, Payload(body_of("ok")));
+  ASSERT_TRUE(eventually([&] { return handled.load() == 1; }));
+  ex.stop();
+  EXPECT_EQ(handled.load(), 1);
+  EXPECT_EQ(tr.datagrams_rejected(), 1u);
+  EXPECT_EQ(tr.packets_delivered(), 1u);
+  EXPECT_EQ(tr.packets_dropped(), 0u);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "rt/executor.hpp"
 #include "rt/loopback_transport.hpp"
 #include "rt/rt_group.hpp"
-#include "rt/sim_transport.hpp"
 #include "rt/stats/publisher.hpp"
 #include "rt/stats/seqlock.hpp"
 #include "rt/stats/shard_stats.hpp"
@@ -346,7 +345,7 @@ TEST(StatsIo, GoldenLineFormatIsPinned) {
             "\"p50\":5.000,\"p99\":5.000,\"p999\":5.000}}}\n");
 }
 
-/// One deterministic stats line: stacks over the SimTransport shim with a
+/// One deterministic stats line: stacks over the simulated Network with a
 /// LatencyTracker stamped from sim time, serialized after a fixed workload.
 std::string deterministic_stats_line() {
   Simulation sim(/*seed=*/7);
@@ -355,25 +354,24 @@ std::string deterministic_stats_line() {
   const LayerFactory factory = make_reliable_fifo_factory();
   std::vector<NodeId> members;
   for (std::size_t i = 0; i < kN; ++i) members.push_back(net.add_node());
-  SimTransport transport(net);
 
   MetricsRegistry reg;
   LatencyTracker lat(reg, "sim", kN);
   std::vector<std::unique_ptr<Stack>> stacks;
   for (std::size_t i = 0; i < kN; ++i) {
-    stacks.push_back(std::make_unique<Stack>(transport, members[i], members,
+    stacks.push_back(std::make_unique<Stack>(net, members[i], members,
                                              factory(members[i], members), sim.fork_rng()));
     stacks.back()->set_on_deliver(
-        [&lat, &transport](const MsgId& id, std::span<const Byte>) {
+        [&lat, &net](const MsgId& id, std::span<const Byte>) {
           if (id.kind == MsgId::Kind::kData) {
-            lat.on_deliver(id.sender, id.seq, transport.now());
+            lat.on_deliver(id.sender, id.seq, net.now());
           }
         });
   }
   for (auto& s : stacks) s->start();
   for (int round = 0; round < 20; ++round) {
     for (std::size_t i = 0; i < kN; ++i) {
-      lat.on_send(members[i].v, stacks[i]->sent(), transport.now());
+      lat.on_send(members[i].v, stacks[i]->sent(), net.now());
       stacks[i]->send(body_of("r" + std::to_string(round)));
     }
     sim.run_for(5 * kMillisecond);

@@ -21,11 +21,15 @@ struct StressCase {
   int switches;
 };
 
-std::string case_name(const ::testing::TestParamInfo<StressCase>& info) {
-  const auto& c = info.param;
+std::string case_name(const StressCase& c) {
   return "seed" + std::to_string(c.seed) + "_n" + std::to_string(c.members) + "_loss" +
          std::to_string(static_cast<int>(c.loss * 100)) + "_sw" + std::to_string(c.switches);
 }
+
+// gtest prints the parameter into each test's listing, and the listing is
+// the ctest name; without this it dumps the struct's bytes, padding
+// included, which differ from run to run.
+void PrintTo(const StressCase& c, std::ostream* os) { *os << case_name(c); }
 
 class SwitchStress : public ::testing::TestWithParam<StressCase> {};
 
@@ -89,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
                       StressCase{7, 10, 0.0, 1}, StressCase{8, 4, 0.1, 2},
                       StressCase{9, 5, 0.15, 3}, StressCase{10, 3, 0.2, 2},
                       StressCase{11, 6, 0.05, 4}, StressCase{12, 4, 0.0, 6}),
-    case_name);
+    [](const ::testing::TestParamInfo<StressCase>& info) { return case_name(info.param); });
 
 TEST(SwitchPartition, SwitchStallsAcrossPartitionAndHeals) {
   // Partition one member away mid-switch: SP cannot complete (the token

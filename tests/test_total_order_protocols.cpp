@@ -21,6 +21,11 @@ struct ProtoCase {
   LayerFactory (*make)();
 };
 
+// gtest prints the parameter into each test's listing, and the listing is
+// the ctest name; without this it dumps the struct's bytes, which hold
+// ASLR'd pointers and so change with every run.
+void PrintTo(const ProtoCase& c, std::ostream* os) { *os << c.name; }
+
 LayerFactory make_seq() { return make_sequencer_factory(); }
 LayerFactory make_tok() { return make_token_factory(); }
 
