@@ -428,8 +428,12 @@ void ReliableLayer::refill_own_gaps() {
   // (our own later messages included) blocks above us forever.
   //
   // Only sequences sent before the *previous* NACK tick are eligible, so a
-  // copy whose loopback delivery is merely in flight (microseconds) is
-  // never raced: in a fault-free run this path never fires.
+  // copy whose loopback delivery is merely in flight (microseconds) is not
+  // raced. The path does fire without faults: once a node's CPU backlog
+  // exceeds one NACK interval, its own loopback copies are still queued a
+  // tick later and are refilled here (the refill is local and costs no
+  // network send; the late copy then arrives as a duplicate). So
+  // rel.self_refills is not a fault signal on a saturated node.
   const std::uint64_t bound = refill_bound_;
   refill_bound_ = next_seq_;
   if (bound == 0) return;

@@ -138,6 +138,11 @@ void TokenLayer::process_token(Token t) {
   // data multicast to us was lost, the next token visit exposes the gap.
   highest_gseq_seen_ = std::max(highest_gseq_seen_, t.next_gseq);
   ctx().consume_cpu(cfg_.token_process_cost);
+  pass_token(std::move(t));
+}
+
+void TokenLayer::pass_token(Token t) {
+  const Time now = ctx().now();
   // Record our delivery progress for the stability watermark.
   t.delivered[ctx().self_index()] = next_deliver_;
   // Multicast queued messages, consuming global sequence numbers.
@@ -154,19 +159,28 @@ void TokenLayer::process_token(Token t) {
     ctx().send_down(std::move(m));
     ++sent;
   }
+  // The token's counter moves with every multicast on the ring, so a
+  // counter that moved since this member last passed the token on means
+  // the ring carried data meanwhile (or just now, from here).
+  if (t.next_gseq != gseq_at_forward_) last_multicast_ = now;
   // Garbage-collect our history below the group-wide stability watermark.
   const std::uint64_t watermark =
       *std::min_element(t.delivered.begin(), t.delivered.end());
   while (!history_.empty() && history_.begin()->first < watermark) {
     history_.erase(history_.begin());
   }
-  if (cfg_.idle_hold > 0) {
-    ctx().set_timer(cfg_.idle_hold, [this, t = std::move(t)]() mutable {
-      forward_token(std::move(t));
-    });
-  } else {
+  const bool idle = queued_.empty() && now - last_multicast_ >= cfg_.idle_period;
+  const Duration hold = idle ? pacing_hold(last_forward_, now, cfg_.idle_period) : 0;
+  if (hold == 0) {
     forward_token(std::move(t));
+    return;
   }
+  held_ = std::move(t);
+  ctx().set_timer(hold, [this] {
+    Token held = std::move(*held_);
+    held_.reset();
+    pass_token(std::move(held));
+  });
 }
 
 Payload TokenLayer::encode_token(const Token& t) const {
@@ -183,19 +197,24 @@ Payload TokenLayer::encode_token(const Token& t) const {
 
 void TokenLayer::forward_token(Token t) {
   ++t.serial;
+  last_forward_ = ctx().now();
+  gseq_at_forward_ = t.next_gseq;
   outstanding_serial_ = t.serial;
   outstanding_bytes_ = encode_token(t);
   const NodeId succ = ctx().ring_successor();
   ctx().send_down(Message::p2p(succ, outstanding_bytes_));
-  arm_token_retransmit(t.serial);
+  arm_token_retransmit();
 }
 
-void TokenLayer::arm_token_retransmit(std::uint64_t serial) {
-  ctx().set_timer(cfg_.token_rto, [this, serial] {
-    if (outstanding_serial_ != serial) return;  // acked meanwhile
+void TokenLayer::arm_token_retransmit() {
+  // One pending retransmission at a time: re-arming replaces it, and the
+  // ack cancels it, so it fires only while the handoff is unacked.
+  ctx().cancel_timer(retx_timer_);
+  retx_timer_ = ctx().set_timer(cfg_.token_rto, [this] {
+    retx_timer_ = {};
     ++stats_.token_retransmissions;
     ctx().send_down(Message::p2p(ctx().ring_successor(), outstanding_bytes_));
-    arm_token_retransmit(serial);
+    arm_token_retransmit();
   });
 }
 
@@ -203,6 +222,8 @@ void TokenLayer::on_token_ack(std::uint64_t serial) {
   if (serial == outstanding_serial_) {
     outstanding_serial_ = 0;
     outstanding_bytes_.clear();
+    ctx().cancel_timer(retx_timer_);
+    retx_timer_ = {};
   }
 }
 

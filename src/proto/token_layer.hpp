@@ -20,13 +20,26 @@
 //     stability bound below which send histories are garbage-collected.
 //
 // Point-to-point traffic of layers above passes through unmodified.
+//
+// Pacing (stack/token_pacing.hpp): the token counts as idle only when
+// nothing has been multicast on the ring for cfg.idle_period (its counter
+// has not moved at this member's visits for that long) and nothing is
+// queued at this member. A member forwards an idle token no sooner than
+// idle_period after it last forwarded the token, so an idle ring — and the
+// parked ring of a switch's inactive side — turns about once per period,
+// while a ring that carries data goes round with zero hold. Messages queued
+// during a hold leave on the token when the hold ends. Every ring of >= 2
+// members on hops of >= 1 ms already turns in >= 2 ms (the default period),
+// so no hold ever engages on the simulator; a group of one is paced.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "stack/layer.hpp"
+#include "stack/token_pacing.hpp"
 
 namespace msw {
 
@@ -35,9 +48,10 @@ struct TokenConfig {
   Duration token_rto = 15 * kMillisecond;
   /// Receiver-side gap NACK interval.
   Duration nack_interval = 10 * kMillisecond;
-  /// Extra delay a member holds the token even when idle (0 = pass as soon
-  /// as processed; the per-hop network latency already paces the ring).
-  Duration idle_hold = 0;
+  /// Pacing period of an idle token: a member forwards it no sooner than
+  /// this after it last forwarded the token. The token is idle when nothing
+  /// was multicast on the ring for this long and nothing is queued here.
+  Duration idle_period = kTokenPacePeriod;
   /// Maximum messages multicast per token visit.
   std::size_t batch_limit = 64;
   /// CPU time spent processing one token visit (updating the stability
@@ -77,8 +91,11 @@ class TokenLayer : public Layer {
 
   void on_token(Token t, NodeId from);
   void process_token(Token t);
+  /// Multicast what is queued, then forward the token — or, when it is
+  /// idle, hold it as the pacing rule asks and come back here.
+  void pass_token(Token t);
   void forward_token(Token t);
-  void arm_token_retransmit(std::uint64_t serial);
+  void arm_token_retransmit();
   void on_token_ack(std::uint64_t serial);
   void on_data(std::uint64_t gseq, Message m);
   void on_nack(NodeId requester, const std::vector<std::uint64_t>& gseqs);
@@ -99,6 +116,12 @@ class TokenLayer : public Layer {
   // Outstanding handoff awaiting ack (serial 0 = none).
   std::uint64_t outstanding_serial_ = 0;
   Payload outstanding_bytes_;
+  TimerId retx_timer_;               // pending handoff retransmission
+  // Pacing state.
+  Time last_forward_ = kLongAgo;
+  std::uint64_t gseq_at_forward_ = 0;  // token's counter when last passed on
+  Time last_multicast_ = kLongAgo;     // visit that saw the counter move
+  std::optional<Token> held_;          // idle token held by the pacing rule
   Stats stats_;
 
   Tracer* tr_ = &Tracer::disabled();

@@ -36,10 +36,11 @@ struct OracleView {
   std::size_t active_senders = 0;
   Time since_last_switch = 0;
   /// Duration of the most recent full NORMAL-token ring rotation observed
-  /// at this member (0 until two consecutive NORMAL visits have been seen
-  /// since the last switch). A live proxy for token-protocol latency: the
-  /// SP control token crosses the same ring the token protocol would use,
-  /// whichever protocol carries the data.
+  /// at this member, less the pacing holds on the way (0 until two
+  /// consecutive NORMAL visits have been seen since the last switch). A
+  /// live proxy for token-protocol latency: the SP control token crosses
+  /// the same ring the token protocol would use, whichever protocol
+  /// carries the data.
   Duration normal_rotation = 0;
   /// PREPARE-to-install span of this member's most recent local switchover
   /// (0 before the first) — the observed switch-overhead signal the

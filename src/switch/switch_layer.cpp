@@ -57,6 +57,7 @@ void SwitchLayer::start() {
     reg->attach_counter("sp.token_hops", &stats_.token_hops);
     reg->attach_counter("sp.token_retransmissions", &stats_.token_retransmissions);
     reg->attach_counter("sp.stale_dropped", &stats_.stale_dropped);
+    reg->attach_counter("sp.decode_drops", &stats_.decode_drops);
     reg->attach_counter("sp.max_buffered", &stats_.max_buffered);
   }
   chain_a_ = std::make_unique<LayerChain>(
@@ -369,6 +370,7 @@ Payload SwitchLayer::encode_token(const Token& t) const {
     w.u32(t.initiator);
     w.u32(static_cast<std::uint32_t>(t.counts.size()));
     for (std::uint64_t c : t.counts) w.u64(c);
+    if (t.hold_total != 0) w.varint(t.hold_total);
   });
   return std::move(m.data);
 }
@@ -380,8 +382,11 @@ SwitchLayer::Token SwitchLayer::decode_token(Reader& r) {
   t.epoch = r.u64();
   t.initiator = r.u32();
   const std::uint32_t n = r.u32();
+  // Validate the untrusted count before reserving for it.
+  if (n > r.remaining() / 8) throw DecodeError("sp token: count vector exceeds frame");
   t.counts.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) t.counts.push_back(r.u64());
+  if (!r.done()) t.hold_total = r.varint();
   return t;
 }
 
@@ -399,12 +404,15 @@ void SwitchLayer::on_control(Message m) {
       }
     });
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   if (type == CtlType::kAck) {
     if (ack_serial == outstanding_serial_) {
       outstanding_serial_ = 0;
       outstanding_bytes_.clear();
+      ctx().cancel_timer(retx_timer_);
+      retx_timer_ = {};
     }
     return;
   }
@@ -438,16 +446,60 @@ void SwitchLayer::begin_prepare_local() {
   // epoch and travel on the new protocol.
 }
 
+void SwitchLayer::initiate_switch(Token t) {
+  switch_requested_ = false;
+  i_am_initiator_ = true;
+  switch_started_ = ctx().now();
+  ++stats_.switches_initiated;
+  MSW_LOG(kInfo, "switch", ctx().now())
+      << to_string(ctx().self()) << " initiating switch away from protocol "
+      << active_protocol() << " (epoch " << epoch_ << ")";
+  t.mode = TokenMode::kPrepare;
+  t.epoch = epoch_;
+  t.initiator = ctx().self().v;
+  t.counts.assign(ctx().member_count(), 0);
+  trace_rotation(n_rot_prepare_, epoch_);
+  begin_prepare_local();
+  t.counts[ctx().self_index()] = sent_this_epoch_;
+  forward_token(std::move(t));
+}
+
+void SwitchLayer::pass_normal(Token t) {
+  const Duration hold = pacing_hold(last_forward_, ctx().now(), cfg_.normal_period);
+  if (hold == 0) {
+    forward_token(std::move(t));
+    return;
+  }
+  held_normal_ = std::move(t);
+  held_since_ = ctx().now();
+  ctx().set_timer(hold, [this] {
+    Token held = std::move(*held_normal_);
+    held_normal_.reset();
+    held.hold_total += static_cast<std::uint64_t>(ctx().now() - held_since_);
+    if (switch_requested_) {
+      initiate_switch(std::move(held));
+    } else {
+      forward_token(std::move(held));
+    }
+  });
+}
+
 void SwitchLayer::handle_token(Token t) {
   const std::uint32_t self = ctx().self().v;
   switch (t.mode) {
     case TokenMode::kNormal: {
       const Time now = ctx().now();
       // Ring-rotation measurement: consecutive NORMAL arrivals here are one
-      // full rotation apart. Reset across switches (begin_prepare_local),
-      // so post-switch samples never include switch-rotation time.
-      if (last_normal_visit_ >= 0) normal_rotation_ = now - last_normal_visit_;
+      // full rotation apart, and the token's pacing total grew by exactly
+      // the holds it spent on the way, so their difference is the unpaced
+      // rotation. Reset across switches (begin_prepare_local), so
+      // post-switch samples never include switch-rotation time.
+      if (last_normal_visit_ >= 0) {
+        normal_rotation_ = now - last_normal_visit_ -
+                           static_cast<Duration>(t.hold_total - hold_total_at_visit_);
+      }
       last_normal_visit_ = now;
+      hold_total_at_visit_ = t.hold_total;
       prune_sender_window(now);
       OracleView view;
       view.self = ctx().self();
@@ -458,30 +510,10 @@ void SwitchLayer::handle_token(Token t) {
       view.normal_rotation = normal_rotation_;
       view.last_switch_overhead = stats_.last_local_switch_duration;
       view.switches_completed = stats_.switches_completed;
-      const bool initiate = switch_requested_ || oracle_->should_switch(view);
-      if (initiate) {
-        switch_requested_ = false;
-        i_am_initiator_ = true;
-        switch_started_ = ctx().now();
-        ++stats_.switches_initiated;
-        MSW_LOG(kInfo, "switch", ctx().now())
-            << to_string(ctx().self()) << " initiating switch away from protocol "
-            << active_protocol() << " (epoch " << epoch_ << ")";
-        t.mode = TokenMode::kPrepare;
-        t.epoch = epoch_;
-        t.initiator = self;
-        t.counts.assign(ctx().member_count(), 0);
-        trace_rotation(n_rot_prepare_, epoch_);
-        begin_prepare_local();
-        t.counts[ctx().self_index()] = sent_this_epoch_;
-        forward_token(std::move(t));
-        return;
-      }
-      if (cfg_.normal_hold > 0) {
-        ctx().set_timer(cfg_.normal_hold,
-                        [this, t = std::move(t)]() mutable { forward_token(std::move(t)); });
+      if (switch_requested_ || oracle_->should_switch(view)) {
+        initiate_switch(std::move(t));
       } else {
-        forward_token(std::move(t));
+        pass_normal(std::move(t));
       }
       return;
     }
@@ -570,23 +602,27 @@ void SwitchLayer::forward_token(Token t, bool count_hop) {
   if (count_hop) ++stats_.token_hops;
   ++t.serial;
   tr_->instant(n_tok_forward_, TelemetryTrack::kControl, t.serial);
+  last_forward_ = ctx().now();
   outstanding_serial_ = t.serial;
   outstanding_bytes_ = encode_token(t);
   Message m = Message::p2p(ctx().ring_successor(), outstanding_bytes_);
   Mux::push(m, kChanControl);
   ctx().send_down(std::move(m));
-  arm_token_retransmit(t.serial);
+  arm_token_retransmit();
 }
 
-void SwitchLayer::arm_token_retransmit(std::uint64_t serial) {
-  ctx().set_timer(cfg_.token_rto, [this, serial] {
-    if (outstanding_serial_ != serial) return;  // acked meanwhile
+void SwitchLayer::arm_token_retransmit() {
+  // One pending retransmission at a time: re-arming replaces it, and the
+  // ack handler cancels it, so it fires only while the handoff is unacked.
+  ctx().cancel_timer(retx_timer_);
+  retx_timer_ = ctx().set_timer(cfg_.token_rto, [this] {
+    retx_timer_ = {};
     ++stats_.token_retransmissions;
-    tr_->instant(n_tok_retx_, TelemetryTrack::kControl, serial);
+    tr_->instant(n_tok_retx_, TelemetryTrack::kControl, outstanding_serial_);
     Message m = Message::p2p(ctx().ring_successor(), outstanding_bytes_);
     Mux::push(m, kChanControl);
     ctx().send_down(std::move(m));
-    arm_token_retransmit(serial);
+    arm_token_retransmit();
   });
 }
 
@@ -602,7 +638,7 @@ void SwitchLayer::prune_sender_window(Time now) {
 
 std::size_t SwitchLayer::active_senders() const {
   // Count against the consult-time clock instead of trusting the last
-  // prune: a member whose token visits are slow (large normal_hold, lossy
+  // prune: a member whose token visits are slow (long pacing period, lossy
   // ring) must not report senders that went quiet a whole window ago.
   const Time now = ctx().now();
   std::size_t n = 0;

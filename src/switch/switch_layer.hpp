@@ -38,6 +38,18 @@
 //
 // Each underlying protocol, and SP's control traffic, gets a private
 // channel over the shared endpoint via Mux (Figure 1's MULTIPLEX).
+//
+// Pacing (stack/token_pacing.hpp): a NORMAL token carries no work unless
+// this member initiates a switch, so a member forwards it no sooner than
+// cfg.normal_period after it last forwarded the ring's token — idle or
+// under load — and the oracle is consulted once per NORMAL visit, so
+// consults slow with it. PREPARE, SWITCH and FLUSH are never held. A switch
+// requested while the token is held starts when the hold ends. Every ring
+// of >= 2 members on hops of >= 1 ms already turns in >= 2 ms (the default
+// period), so on the simulator no hold ever engages and the token's bytes
+// are those of an unpaced ring; a group of one is paced. The token carries
+// the running total of pacing holds as an optional trailer, so
+// normal_rotation() reports the ring's unpaced rotation.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +62,7 @@
 #include "net/stats.hpp"
 #include "stack/capture.hpp"
 #include "stack/layer.hpp"
+#include "stack/token_pacing.hpp"
 #include "switch/multiplex_layer.hpp"
 #include "switch/oracle.hpp"
 
@@ -58,10 +71,12 @@ namespace msw {
 struct SwitchConfig {
   /// Token handoff retransmission interval.
   Duration token_rto = 15 * kMillisecond;
-  /// Extra hold per member per hop of the NORMAL token. 0 = rotate at
-  /// network speed; raising it reduces idle control traffic at the cost of
-  /// switch-initiation latency.
-  Duration normal_hold = 0;
+  /// Pacing period of the NORMAL token: a member forwards it no sooner than
+  /// this after it last forwarded the ring's token, unless it initiates a
+  /// switch. Bounds control traffic and oracle consults to about one ring
+  /// rotation per period; a switch request waits up to one period longer
+  /// for the token.
+  Duration normal_period = kTokenPacePeriod;
   /// Window over which "active senders" is measured for the oracle.
   Duration sender_window = 200 * kMillisecond;
   /// Starting epoch (identical at every member). Parity selects the
@@ -94,8 +109,9 @@ class SwitchLayer : public Layer {
   void down_batch(MessageBatch b) override;
   void up_batch(MessageBatch b) override;
 
-  /// Ask this member to initiate a switch at the next NORMAL token,
-  /// regardless of the oracle.
+  /// Ask this member to initiate a switch at the next NORMAL token (or when
+  /// the pacing hold of a NORMAL token it holds ends), regardless of the
+  /// oracle.
   void request_switch() { switch_requested_ = true; }
 
   std::uint64_t epoch() const { return epoch_; }
@@ -118,6 +134,7 @@ class SwitchLayer : public Layer {
     std::uint64_t token_hops = 0;               // tokens this member forwarded
     std::uint64_t token_retransmissions = 0;
     std::uint64_t stale_dropped = 0;            // old-epoch duplicates
+    std::uint64_t decode_drops = 0;             // control frames failing decode
     std::uint64_t max_buffered = 0;             // high-water mark of buffer
     /// Initiator-side duration of the last completed switch, from NORMAL
     /// token capture to FLUSH return (the paper's ~31 ms overhead).
@@ -135,8 +152,10 @@ class SwitchLayer : public Layer {
   std::size_t active_senders() const;
 
   /// Duration of the most recent full NORMAL-token ring rotation observed
-  /// at this member; 0 until two consecutive NORMAL visits have been seen
-  /// since start (or since the last switch reset the measurement).
+  /// at this member, less the pacing holds the token spent on the way: the
+  /// rotation the ring would take unpaced. 0 until two consecutive NORMAL
+  /// visits have been seen since start (or since the last switch reset the
+  /// measurement).
   Duration normal_rotation() const { return normal_rotation_; }
 
   /// Observer invoked once per application delivery with the epoch the
@@ -156,6 +175,10 @@ class SwitchLayer : public Layer {
     /// PREPARE: per-member sent counts, filled as the token travels
     /// (slot i == members()[i]); SWITCH: the complete vector.
     std::vector<std::uint64_t> counts;
+    /// Wrapping running total of pacing holds (µs). A varint trailer on the
+    /// wire, written only once nonzero, so an unpaced ring's bytes do not
+    /// change.
+    std::uint64_t hold_total = 0;
   };
 
   // --- data path -----------------------------------------------------
@@ -169,8 +192,12 @@ class SwitchLayer : public Layer {
   void on_token(Token t, NodeId from);
   void handle_token(Token t);
   void begin_prepare_local();
+  void initiate_switch(Token t);
+  /// Forward a NORMAL token that carries no work, holding it first as the
+  /// pacing rule asks.
+  void pass_normal(Token t);
   void forward_token(Token t, bool count_hop = true);
-  void arm_token_retransmit(std::uint64_t serial);
+  void arm_token_retransmit();
   Payload encode_token(const Token& t) const;
   static Token decode_token(Reader& r);
 
@@ -209,6 +236,10 @@ class SwitchLayer : public Layer {
   std::uint64_t last_serial_seen_ = 0;
   std::uint64_t outstanding_serial_ = 0;
   Payload outstanding_bytes_;
+  TimerId retx_timer_;             // pending handoff retransmission
+  Time last_forward_ = kLongAgo;   // pacing: last forward of any token mode
+  std::optional<Token> held_normal_;  // NORMAL token held by the pacing rule
+  Time held_since_ = 0;
   bool switch_requested_ = false;
   /// Dwell-clock anchor: seeded to the layer's start time in start() so the
   /// first consult measures dwell from a real instant, not from time 0 —
@@ -223,7 +254,8 @@ class SwitchLayer : public Layer {
   void prune_sender_window(Time now);
   std::map<std::uint32_t, Time> last_seen_sender_;
   Time last_normal_visit_ = -1;    // previous NORMAL token arrival, -1 = none
-  Duration normal_rotation_ = 0;   // latest full ring-rotation measurement
+  std::uint64_t hold_total_at_visit_ = 0;  // token's pacing total at that arrival
+  Duration normal_rotation_ = 0;   // latest unpaced ring-rotation measurement
   std::function<void(std::uint64_t)> epoch_tap_;
 
   // --- telemetry -------------------------------------------------------

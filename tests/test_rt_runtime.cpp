@@ -154,6 +154,45 @@ TEST(LoopbackTransport, ReliableFifoGroupDeliversEverythingInSenderOrder) {
   }
 }
 
+TEST(LoopbackTransport, IdleHybridRingsArePaced) {
+  // Unpaced, an idle 10-member hybrid on threads passes SP's NORMAL token
+  // ~200k times a second. Paced, each member forwards each ring's token at
+  // most once per period, however fast or slow the host: the bound is on
+  // counts, not CPU.
+  constexpr std::size_t kN = 10;
+  Executor ex(1);
+  LoopbackTransport tr(ex);
+  RtGroup group(tr, kN, make_hybrid_total_order_factory());
+  ex.start();
+  group.start();
+  const auto counts = [&group] {
+    std::uint64_t hops = 0;
+    std::uint64_t visits = 0;
+    group.call([&] {
+      for (std::size_t i = 0; i < kN; ++i) {
+        SwitchLayer& sp = switch_layer_of(group.stack(i));
+        hops += sp.stats().token_hops;
+        visits += static_cast<TokenLayer&>(sp.sub_layer(1, 0)).stats().token_visits;
+      }
+    });
+    return std::make_pair(hops, visits);
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto [hops0, visits0] = counts();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto [hops1, visits1] = counts();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ex.stop();
+  const auto periods = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count() / kTokenPacePeriod);
+  const std::uint64_t bound = kN * (periods + 2);
+  EXPECT_LE(hops1 - hops0, bound);
+  EXPECT_LE(visits1 - visits0, bound);
+  // Both rings still turn.
+  EXPECT_GE(hops1 - hops0, kN);
+  EXPECT_GE(visits1 - visits0, kN);
+}
+
 TEST(UdpTransport, ReliableFifoGroupDeliversOverRealSockets) {
   if (!UdpTransport::available()) {
     GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";

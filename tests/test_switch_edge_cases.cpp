@@ -218,8 +218,8 @@ TEST(SwitchEdge, ActiveSendersWindowDecays) {
 
 TEST(SwitchEdge, SlowRotationDoesNotInflateConsultedSenderCount) {
   // Regression: the sender window must be pruned against *consult time*,
-  // not against the last delivery. With a slowed token rotation (normal
-  // hold ≫ sender window), a consult arriving long after traffic stopped
+  // not against the last delivery. With a slowed token rotation (pacing
+  // period ≫ sender window), a consult arriving long after traffic stopped
   // used to report the stale count — the oracle then saw phantom load
   // exactly when the ring was slow, the worst moment to over-count.
   struct RecordingOracle : Oracle {
@@ -233,7 +233,7 @@ TEST(SwitchEdge, SlowRotationDoesNotInflateConsultedSenderCount) {
   auto log = std::make_shared<std::vector<std::pair<Time, std::size_t>>>();
   HybridConfig hcfg;
   hcfg.sp.sender_window = 100 * kMillisecond;
-  hcfg.sp.normal_hold = 300 * kMillisecond;  // rotation ~0.9 s ≫ window
+  hcfg.sp.normal_period = 900 * kMillisecond;  // rotation ~0.9 s ≫ window
   hcfg.oracle = [log](NodeId) { return std::make_unique<RecordingOracle>(log.get()); };
   GroupHarness h(3, make_hybrid_total_order_factory(hcfg));
   // Both senders stay active for the first 2 s, then go silent.

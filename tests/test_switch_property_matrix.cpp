@@ -123,8 +123,10 @@ TEST_P(SwitchedStacks, PriorityStackKeepsWorkingPerEpoch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SwitchedStacks, ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(SwitchConfigKnobs, NormalHoldThrottlesIdleTokenTraffic) {
+  // The idle NORMAL token turns in ~3 ms on 1 ms hops, longer than the
+  // default pacing period; a 20 ms period paces it to one turn per 20 ms.
   SwitchConfig slow;
-  slow.normal_hold = 20 * kMillisecond;
+  slow.normal_period = 20 * kMillisecond;
   HybridConfig fast_cfg;
   HybridConfig slow_cfg;
   slow_cfg.sp = slow;
@@ -137,7 +139,7 @@ TEST(SwitchConfigKnobs, NormalHoldThrottlesIdleTokenTraffic) {
   const auto fast_hops = switch_layer_of(fast.group.stack(0)).stats().token_hops;
   const auto held_hops = switch_layer_of(held.group.stack(0)).stats().token_hops;
   EXPECT_LT(held_hops * 3, fast_hops)
-      << "normal_hold should slow the idle NORMAL token substantially";
+      << "normal_period should slow the idle NORMAL token substantially";
   // And a switch still works under the throttled token.
   switch_layer_of(held.group.stack(1)).request_switch();
   held.sim.run_for(5 * kSecond);

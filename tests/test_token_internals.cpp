@@ -113,9 +113,11 @@ TEST_F(TokenInternals, LatencyScalesWithRingSize) {
 }
 
 TEST_F(TokenInternals, IdleHoldSlowsRotation) {
+  // The idle ring turns in ~3 ms on 1 ms hops, longer than the default
+  // pacing period, so it is never held; a 10 ms period holds it.
   TokenConfig fast;
   TokenConfig slow;
-  slow.idle_hold = 10 * kMillisecond;
+  slow.idle_period = 10 * kMillisecond;
   g_tok.clear();
   GroupHarness h1(3, tok_stack(fast));
   h1.sim.run_for(kSecond);
