@@ -17,7 +17,9 @@
 //                         [--stats-interval MS]
 //
 // Emits BENCH_rt.json (or F) with one row per n in {2, 8, 32}, including
-// end-to-end latency percentiles (p50/p99/p999 µs) from the rt stats plane.
+// end-to-end latency percentiles (p50/p99/p999 µs) from the rt stats plane,
+// the frames the stacks sent and, over UDP, the datagrams that carried
+// them (each bundles one pass's frames to one destination).
 // --stats-interval renders the live dashboard on stderr during each cell.
 #include <sys/resource.h>
 
@@ -53,8 +55,9 @@ struct Row {
   double msgs_per_sec_per_core = 0; // unique msgs/sec / worker shards
   double msgs_per_cpu_sec = 0;      // unique msgs per CPU-second burned
   double deliveries_per_sec = 0;
-  std::uint64_t datagrams_sent = 0;
-  std::uint64_t datagrams_dropped = 0;
+  std::uint64_t frames_sent = 0;     // the stacks' frames, one per copy
+  std::uint64_t frames_dropped = 0;
+  std::uint64_t datagrams_sent = 0;  // UDP bundles; 0 on the loopback backend
   // End-to-end wall latency (send stamp -> delivery, µs), merged over all
   // groups. Zero when the build has MSW_RT_STATS=OFF.
   std::uint64_t lat_count = 0;
@@ -67,10 +70,12 @@ Row run_one(std::size_t n, std::size_t groups, std::size_t rounds, bool loopback
             long stats_interval_ms) {
   Executor ex(groups);
   std::unique_ptr<ThreadedTransport> transport;
+  UdpTransport* udp = nullptr;
   if (loopback) {
     transport = std::make_unique<LoopbackTransport>(ex);
   } else {
     transport = std::make_unique<UdpTransport>(ex);
+    udp = static_cast<UdpTransport*>(transport.get());
   }
   RtStatsPlane stats(ex, transport.get());
 
@@ -154,8 +159,9 @@ Row run_one(std::size_t n, std::size_t groups, std::size_t rounds, bool loopback
   row.cpu_s = cpu;
   row.msgs_per_cpu_sec = cpu > 0 ? static_cast<double>(row.unique_msgs) / cpu : 0;
   row.deliveries_per_sec = static_cast<double>(delivered) / wall;
-  row.datagrams_sent = transport->packets_sent();
-  row.datagrams_dropped = transport->packets_dropped();
+  row.frames_sent = transport->packets_sent();
+  row.frames_dropped = transport->packets_dropped();
+  row.datagrams_sent = udp != nullptr ? udp->datagrams_sent() : 0;
   row.lat_count = e2e.count;
   row.lat_p50_us = e2e.p50;
   row.lat_p99_us = e2e.p99;
@@ -178,8 +184,9 @@ void write_json(const std::string& path, const std::string& medium, std::size_t 
        << ", \"msgs_per_sec_per_core\": " << r.msgs_per_sec_per_core
        << ", \"msgs_per_cpu_sec\": " << r.msgs_per_cpu_sec
        << ", \"deliveries_per_sec\": " << r.deliveries_per_sec
+       << ", \"frames_sent\": " << r.frames_sent
+       << ", \"frames_dropped\": " << r.frames_dropped
        << ", \"datagrams_sent\": " << r.datagrams_sent
-       << ", \"datagrams_dropped\": " << r.datagrams_dropped
        << ", \"lat_count\": " << r.lat_count << ", \"lat_p50_us\": " << r.lat_p50_us
        << ", \"lat_p99_us\": " << r.lat_p99_us << ", \"lat_p999_us\": " << r.lat_p999_us
        << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
@@ -229,7 +236,7 @@ int main(int argc, char** argv) {
     std::printf("  %4zu %8zu %12llu %14.0f %16.0f %10llu %10.0f %10.0f\n", r.n, r.groups,
                 static_cast<unsigned long long>(r.unique_msgs), r.msgs_per_sec,
                 r.msgs_per_sec_per_core,
-                static_cast<unsigned long long>(r.datagrams_dropped), r.lat_p50_us,
+                static_cast<unsigned long long>(r.frames_dropped), r.lat_p50_us,
                 r.lat_p99_us);
     if (r.deliveries < std::uint64_t{groups} * n * n *
                            static_cast<std::uint64_t>(scale * (n == 2 ? 2000 : n == 8 ? 400 : 50))) {

@@ -141,11 +141,16 @@ int main(int argc, char** argv) {
     std::printf("node%zu delivered %llu\n", i,
                 static_cast<unsigned long long>(group.delivered_at(i)));
   }
-  std::printf("delivered %llu/%llu app messages in %.3fs over %s (%llu datagrams sent, "
-              "%llu dropped by the medium)\n",
+  std::printf("delivered %llu/%llu app messages in %.3fs over %s (%llu packets sent",
               static_cast<unsigned long long>(got), static_cast<unsigned long long>(expect),
               secs, loopback ? "threaded loopback" : "UDP",
-              static_cast<unsigned long long>(transport->packets_sent()),
+              static_cast<unsigned long long>(transport->packets_sent()));
+  if (!loopback) {
+    std::printf(" in %llu datagrams",
+                static_cast<unsigned long long>(
+                    static_cast<UdpTransport&>(*transport).datagrams_sent()));
+  }
+  std::printf(", %llu dropped by the medium)\n",
               static_cast<unsigned long long>(transport->packets_dropped()));
 
   ex.stop();
@@ -169,9 +174,10 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n", trace_out.c_str());
   }
 
-  // UDP drop accounting: every datagram the transport counted as sent
-  // either reached a handler, was counted as dropped, or vanished in the
-  // kernel (uncounted). delivered + dropped > sent means double counting.
+  // UDP drop accounting: every packet the transport counted as sent either
+  // reached a handler, was counted as dropped, or vanished in the kernel
+  // inside a lost datagram (uncounted). delivered + dropped > sent means
+  // double counting.
   if (!loopback) {
     const std::uint64_t sent = transport->packets_sent();
     const std::uint64_t delivered_dg = transport->packets_delivered();

@@ -91,6 +91,8 @@ void CausalLayer::up(Message m) {
     if (type == Type::kData) {
       origin = r.u32();
       const std::uint32_t n = r.u32();
+      // Validate the untrusted count before reserving for it.
+      if (n > r.remaining() / 8) throw DecodeError("causal: vector clock exceeds frame");
       vc.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
     }
@@ -120,6 +122,7 @@ void CausalLayer::up_batch(MessageBatch b) {
         if (type == Type::kData) {
           origin = r.u32();
           const std::uint32_t n = r.u32();
+          if (n > r.remaining() / 8) throw DecodeError("causal: vector clock exceeds frame");
           vc.reserve(n);
           for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
         }

@@ -89,6 +89,8 @@ void SequencerLayer::up(Message m) {
         break;
       case Type::kGapNack: {
         const std::uint32_t count = r.u32();
+        // Validate the untrusted count before reserving for it.
+        if (count > r.remaining() / 8) throw DecodeError("gap nack: count exceeds frame");
         nack_gseqs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
         break;
@@ -205,6 +207,7 @@ void SequencerLayer::up_batch(MessageBatch b) {
             break;
           case Type::kGapNack: {
             const std::uint32_t count = r.u32();
+            if (count > r.remaining() / 8) throw DecodeError("gap nack: count exceeds frame");
             nack_gseqs.reserve(count);
             for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
             break;

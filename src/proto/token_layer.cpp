@@ -71,6 +71,8 @@ void TokenLayer::up(Message m) {
         token.serial = r.u64();
         token.next_gseq = r.u64();
         const std::uint32_t n = r.u32();
+        // Validate the untrusted count before reserving for it.
+        if (n > r.remaining() / 8) throw DecodeError("token: delivered vector exceeds frame");
         token.delivered.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) token.delivered.push_back(r.u64());
         break;
@@ -80,6 +82,7 @@ void TokenLayer::up(Message m) {
         break;
       case Type::kNack: {
         const std::uint32_t count = r.u32();
+        if (count > r.remaining() / 8) throw DecodeError("token nack: count exceeds frame");
         nack_gseqs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
         break;

@@ -29,6 +29,8 @@ Bytes encode_view_body(const std::vector<std::uint32_t>& members) {
 std::vector<std::uint32_t> decode_view_body(std::span<const Byte> body) {
   Reader r(body);
   const std::uint32_t n = r.u32();
+  // Validate the untrusted count before reserving for it.
+  if (n > r.remaining() / 4) throw DecodeError("view: member list exceeds body");
   std::vector<std::uint32_t> members;
   members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) members.push_back(r.u32());
@@ -89,6 +91,8 @@ void VsyncLayer::up(Message m) {
       case Type::kFlushReq: {
         view_id = r.u64();
         const std::uint32_t n = r.u32();
+        // Validate the untrusted counts before reserving for them.
+        if (n > r.remaining() / 4) throw DecodeError("flush req: member list exceeds frame");
         member_list.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) member_list.push_back(r.u32());
         break;
@@ -108,6 +112,7 @@ void VsyncLayer::up(Message m) {
       case Type::kCut: {
         view_id = r.u64();
         const std::uint32_t mn = r.u32();
+        if (mn > r.remaining() / 4) throw DecodeError("cut: member list exceeds frame");
         member_list.reserve(mn);
         for (std::uint32_t i = 0; i < mn; ++i) member_list.push_back(r.u32());
         const std::uint32_t n = r.u32();

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 
 namespace msw {
 
@@ -45,11 +46,15 @@ class SeqlockBuf {
     seq_.store(s + 2, std::memory_order_release);  // even: publication closed
   }
 
-  /// Reader: copy a consistent snapshot into `dst`. Returns false if every
-  /// attempt raced a publication (only plausible when the writer publishes
-  /// continuously); `dst` then holds the last, possibly torn, attempt.
+  /// Reader: copy a consistent snapshot into `dst`. An attempt that finds a
+  /// publication open, or sees one start mid-copy, first backs off —
+  /// spinning briefly, then yielding the CPU — so the writer can close it.
+  /// Returns false if every attempt raced a publication (only plausible when
+  /// the writer publishes back to back); `dst` then holds no certified
+  /// image and must be discarded.
   bool read(std::uint64_t* dst, std::size_t n, int max_attempts = 64) const {
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
+      if (attempt > 0) backoff(attempt);
       const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;  // publication in flight
       for (std::size_t i = 0; i < n; ++i) dst[i] = buf_[i].load(std::memory_order_relaxed);
@@ -63,6 +68,16 @@ class SeqlockBuf {
   std::uint64_t generation() const { return seq_.load(std::memory_order_acquire) / 2; }
 
  private:
+  static void backoff(int attempt) {
+    if (attempt < 8) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    } else {
+      std::this_thread::yield();
+    }
+  }
+
   std::atomic<std::uint64_t> seq_{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> buf_;
   std::size_t slots_ = 0;

@@ -31,6 +31,7 @@ void ShardStats::seal() {
   slots_ = 0;
   for (const auto& e : reg_.entries()) slots_ += slots_for(reg_, e);
   scratch_.assign(slots_, 0);
+  clean_.assign(slots_, 0);  // the image before the first publication
   buf_.resize(slots_);
   sealed_ = true;
 }
@@ -74,7 +75,16 @@ bool ShardStats::snapshot(StatsSnapshot& out, std::uint64_t t_us) const {
   out.source = source();
   out.t_us = t_us;
   std::vector<std::uint64_t> flat(slots_, 0);
-  const bool clean = buf_.read(flat.data(), slots_);
+  bool clean = false;
+  {
+    const std::lock_guard<std::mutex> lock(clean_mu_);
+    clean = buf_.read(flat.data(), slots_);
+    if (clean) {
+      clean_ = flat;
+    } else {
+      flat = clean_;
+    }
+  }
   std::size_t o = 0;
   for (const auto& e : reg_.entries()) {
     if (reg_.histogram_of(e) != nullptr) {

@@ -16,7 +16,10 @@
 //
 // Read side (StatsPublisher thread, or anyone): snapshot() copies the last
 // published flat image (retrying if it races a publish — the writer never
-// waits) and decodes it into a StatsSnapshot using the frozen layout.
+// waits) and decodes it into a StatsSnapshot using the frozen layout. It
+// never decodes an image the seqlock did not certify: when every attempt
+// races, it decodes the last clean image instead, so counters read by any
+// sequence of snapshots never go backwards.
 //
 // Lifecycle: construct + register instruments (attach_group) during the
 // single-threaded wiring phase, seal() before the first flush, then the
@@ -24,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,7 +66,8 @@ class ShardStats final : public LoopObserver {
 
   /// Any thread, after seal(): decode the most recent publication into
   /// `out` (source/t_us set by the caller's wrapper). Returns false when
-  /// every read attempt raced a publish; `out` is then best-effort.
+  /// every read attempt raced a publish; `out` then holds the last image a
+  /// snapshot read cleanly (all zeros before the first).
   bool snapshot(StatsSnapshot& out, std::uint64_t t_us) const;
 
   /// Flat slots one publication carries (valid after seal()).
@@ -90,6 +95,9 @@ class ShardStats final : public LoopObserver {
   std::size_t slots_ = 0;
   std::vector<std::uint64_t> scratch_;  // loop-thread encode staging
   SeqlockBuf buf_;
+  // Readers only (the writer never takes it): the last certified image.
+  mutable std::mutex clean_mu_;
+  mutable std::vector<std::uint64_t> clean_;
 };
 
 }  // namespace msw

@@ -9,7 +9,7 @@ SignalPlane::ExternalSource rt_signal_source(const ShardStats& stats) {
   return [&stats](SignalVector& v) {
     if (!stats.sealed()) return;
     StatsSnapshot snap;
-    stats.snapshot(snap, 0);  // best-effort even when a publish raced
+    stats.snapshot(snap, 0);  // a raced read decodes the last clean image
     if (const StatsSnapshot::Hist* lag = snap.find_hist("rt.loop.lag_us")) {
       v.loop_lag_p99_us = lag->p99;
     }

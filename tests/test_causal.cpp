@@ -145,6 +145,29 @@ TEST(CausalLayer, CausalUnderLoss) {
   EXPECT_TRUE(CausalOrderProperty().holds(h.group.trace()));
 }
 
+TEST(CausalLayer, VectorClockWithHugeCountIsDropped) {
+  // A data frame (origin, vector-clock length) claiming 2^32 - 1 eight-byte
+  // entries and carrying none, under the reliable layer's pass-through
+  // byte: once through the batched receive path (member 1) and once through
+  // the per-message one (member 2). Reserving for the claim would abort the
+  // process; the frames are dropped and causal delivery goes on.
+  GroupHarness h(3, causal_stack());
+  h.group.stack(2).set_batching(false);
+  for (const std::size_t dst : {1u, 2u}) {
+    Message m = Message::group({});
+    m.push_header([](Writer& w) {
+      w.u8(0);
+      w.u32(0);
+      w.u32(0xffffffffu);
+    });
+    m.push_header([](Writer& w) { w.u8(1); });
+    h.net.send(h.group.node(0), h.group.node(dst), std::move(m.data));
+  }
+  h.sim.run_for(10 * kMillisecond);
+  h.send_and_settle(0, to_bytes("after"), kSecond);
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+}
+
 // ------------------------------------------- classification and the nuance
 
 TEST(CausalMeta, NotDelayableWitness) {

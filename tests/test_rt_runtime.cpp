@@ -1,5 +1,6 @@
 // Runtime-boundary unit tests: the event loop's MPSC inbox and timers, the
-// executor lifecycle, and the threaded loopback and UDP backends.
+// executor lifecycle, the threaded loopback and UDP backends, and the UDP
+// bundle codec under hostile input.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -8,8 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rt/event_loop.hpp"
@@ -18,6 +22,7 @@
 #include "rt/rt_group.hpp"
 #include "rt/udp_transport.hpp"
 #include "switch/hybrid.hpp"
+#include "util/rng.hpp"
 
 namespace msw {
 namespace {
@@ -267,6 +272,235 @@ TEST(UdpTransport, ForeignDatagramIsCountedAndNeverDelivered) {
   EXPECT_EQ(tr.datagrams_rejected(), 1u);
   EXPECT_EQ(tr.packets_delivered(), 1u);
   EXPECT_EQ(tr.packets_dropped(), 0u);
+}
+
+/// Stops the executor when the scope ends, so an early ASSERT return never
+/// destroys a transport or handler state that the executor's threads use.
+struct StopOnExit {
+  Executor& ex;
+  ~StopOnExit() { ex.stop(); }
+};
+
+/// Run `fn` on `node`'s shard thread and wait for it.
+void on_shard(UdpTransport& tr, NodeId node, const std::function<void()>& fn) {
+  std::atomic<bool> done{false};
+  tr.post(node, [&] {
+    fn();
+    done.store(true);
+  });
+  ASSERT_TRUE(eventually([&] { return done.load(); }));
+}
+
+/// Node b's receive log, written on its shard thread; read after stop.
+struct Inbox {
+  std::vector<Bytes> frames;
+  std::atomic<std::size_t> count{0};
+  PacketHandler handler() {
+    return [this](Packet p) {
+      const auto v = p.data.view();
+      frames.emplace_back(v.begin(), v.end());
+      count.fetch_add(1);
+    };
+  }
+};
+
+TEST(UdpTransport, FramesOfOneShardTaskLeaveAsOneDatagram) {
+  if (!UdpTransport::available()) {
+    GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
+  }
+  Executor ex(1);
+  UdpTransport tr(ex);
+  const NodeId a = tr.add_node();
+  const NodeId b = tr.add_node();
+  Inbox in;
+  tr.set_handler(a, [](Packet) {});
+  tr.set_handler(b, in.handler());
+  const StopOnExit stop_on_exit{ex};
+  ex.start();
+  constexpr std::size_t kFrames = 100;
+  on_shard(tr, a, [&] {
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      tr.send(a, b, Payload(body_of("frame " + std::to_string(i))));
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return in.count.load() == kFrames; }));
+  ex.stop();
+  EXPECT_EQ(tr.datagrams_sent(), 1u);
+  EXPECT_EQ(tr.packets_sent(), kFrames);
+  EXPECT_EQ(tr.packets_delivered(), kFrames);
+  ASSERT_EQ(in.frames.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(in.frames[i], body_of("frame " + std::to_string(i)));
+  }
+}
+
+TEST(UdpTransport, FrameThatDoesNotFitLeavesInANewDatagram) {
+  if (!UdpTransport::available()) {
+    GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
+  }
+  Executor ex(1);
+  UdpTransport tr(ex);
+  const NodeId a = tr.add_node();
+  const NodeId b = tr.add_node();
+  Inbox in;
+  tr.set_handler(a, [](Packet) {});
+  tr.set_handler(b, in.handler());
+  const StopOnExit stop_on_exit{ex};
+  ex.start();
+  // Two 40 kB frames cannot share a bundle; the small third one joins the
+  // second. The largest frame the transport takes still leaves whole.
+  const std::vector<Bytes> sent = {Bytes(40000, Byte{1}), Bytes(40000, Byte{2}),
+                                   Bytes(10, Byte{3}), Bytes(udpwire::kMaxFrame, Byte{4})};
+  on_shard(tr, a, [&] {
+    for (const Bytes& f : sent) tr.send(a, b, Payload(Bytes(f)));
+  });
+  ASSERT_TRUE(eventually([&] { return in.count.load() == sent.size(); }));
+  ex.stop();
+  EXPECT_EQ(tr.datagrams_sent(), 3u);
+  EXPECT_EQ(tr.packets_dropped(), 0u);
+  EXPECT_EQ(in.frames, sent);
+}
+
+TEST(UdpTransport, MulticastBundlesPerDestination) {
+  if (!UdpTransport::available()) {
+    GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
+  }
+  Executor ex(1);
+  UdpTransport tr(ex);
+  std::vector<NodeId> nodes;
+  std::vector<std::unique_ptr<Inbox>> inboxes;
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(tr.add_node());
+    inboxes.push_back(std::make_unique<Inbox>());
+    tr.set_handler(nodes.back(), inboxes.back()->handler());
+  }
+  const StopOnExit stop_on_exit{ex};
+  ex.start();
+  // Three multicasts and a point-to-point frame from node 0 in one pass:
+  // one datagram per destination, each frame in its send order.
+  on_shard(tr, nodes[0], [&] {
+    for (int m = 0; m < 3; ++m) {
+      tr.multicast(nodes[0], nodes, Payload(body_of("m" + std::to_string(m))));
+    }
+    tr.send(nodes[0], nodes[2], Payload(body_of("p2p")));
+  });
+  ASSERT_TRUE(eventually([&] {
+    return inboxes[0]->count.load() == 3 && inboxes[1]->count.load() == 3 &&
+           inboxes[2]->count.load() == 4 && inboxes[3]->count.load() == 3;
+  }));
+  ex.stop();
+  EXPECT_EQ(tr.datagrams_sent(), 4u);
+  EXPECT_EQ(tr.packets_sent(), 13u);
+  EXPECT_EQ(tr.packets_delivered(), 13u);
+  const std::vector<Bytes> three = {body_of("m0"), body_of("m1"), body_of("m2")};
+  EXPECT_EQ(inboxes[0]->frames, three);
+  EXPECT_EQ(inboxes[1]->frames, three);
+  EXPECT_EQ(inboxes[3]->frames, three);
+  EXPECT_EQ(inboxes[2]->frames,
+            (std::vector<Bytes>{body_of("m0"), body_of("m1"), body_of("m2"), body_of("p2p")}));
+}
+
+/// Bundles that must not parse, each with what is wrong with it.
+std::vector<std::pair<const char*, Bytes>> malformed_bundles() {
+  std::vector<std::pair<const char*, Bytes>> out;
+  out.emplace_back("truncated varint", Bytes{0x03, 'a', 'b', 'c', 0x80});
+  out.emplace_back("length past the end", Bytes{0x05, 'a', 'b'});
+  out.emplace_back("trailing bytes", Bytes{0x03, 'a', 'b', 'c', 'z'});
+  out.emplace_back("zero-length frame", Bytes{0x02, 'a', 'b', 0x00, 0x01, 'c'});
+  // 65,000 random bytes. Random bytes tile by chance about once in
+  // thousands of buffers; UdpWire.RandomBytesNeverPartlyParse covers that
+  // case, and this buffer's seed is fixed.
+  Rng rng(23);
+  Bytes noise(65000);
+  for (Byte& b : noise) b = static_cast<Byte>(rng.next());
+  out.emplace_back("65,000 random bytes", std::move(noise));
+  return out;
+}
+
+TEST(UdpWire, BundleRoundTrips) {
+  const std::vector<Bytes> frames = {body_of("x"), Bytes(127, Byte{7}), Bytes(128, Byte{8}),
+                                     Bytes(udpwire::kMaxFrame, Byte{9})};
+  for (const Bytes& f : frames) {
+    Bytes one;
+    udpwire::put_frame(one, f);
+    EXPECT_EQ(one.size(), udpwire::record_size(f.size()));
+  }
+  Bytes bundle;
+  for (const Bytes& f : frames) udpwire::put_frame(bundle, f);
+  std::vector<std::span<const Byte>> got;
+  ASSERT_TRUE(udpwire::split(bundle, got));
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(Bytes(got[i].begin(), got[i].end()), frames[i]) << "frame " << i;
+  }
+  EXPECT_EQ(udpwire::record_size(udpwire::kMaxFrame), udpwire::kMaxBundle);
+  EXPECT_LE(udpwire::kMaxBundle, 65507u);  // the largest IPv4 UDP payload
+  ASSERT_TRUE(udpwire::split({}, got));  // no frames at all
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(UdpWire, MalformedBundlesAreRejectedWhole) {
+  for (const auto& [what, bytes] : malformed_bundles()) {
+    std::vector<std::span<const Byte>> got{std::span<const Byte>(bytes)};
+    EXPECT_FALSE(udpwire::split(bytes, got)) << what;
+    EXPECT_TRUE(got.empty()) << what;
+  }
+}
+
+TEST(UdpWire, RandomBytesNeverPartlyParse) {
+  // Whatever the bytes, a split either rejects them with nothing left over,
+  // or its frames encode back to exactly the input.
+  Rng rng(5);
+  std::vector<std::span<const Byte>> got;
+  for (int i = 0; i < 2000; ++i) {
+    Bytes noise(rng.below(300));
+    for (Byte& b : noise) b = static_cast<Byte>(rng.below(4) == 0 ? rng.next() : rng.below(8));
+    if (!udpwire::split(noise, got)) {
+      EXPECT_TRUE(got.empty());
+      continue;
+    }
+    Bytes again;
+    for (const std::span<const Byte> f : got) udpwire::put_frame(again, f);
+    EXPECT_EQ(again, noise);
+  }
+}
+
+TEST(UdpTransport, MalformedBundleIsRejectedAndNeverDelivered) {
+  if (!UdpTransport::available()) {
+    GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
+  }
+  Executor ex(1);
+  UdpTransport tr(ex);
+  const NodeId a = tr.add_node();
+  const NodeId b = tr.add_node();
+  Inbox in;
+  tr.set_handler(a, [](Packet) {});
+  tr.set_handler(b, in.handler());
+  const StopOnExit stop_on_exit{ex};
+  ex.start();
+
+  // Each malformed datagram leaves from node a's own socket, so only the
+  // bundle check can refuse it.
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dst.sin_port = htons(tr.port_of(b));
+  const auto bad = malformed_bundles();
+  for (const auto& [what, bytes] : bad) {
+    ASSERT_EQ(::sendto(tr.socket_of(a), bytes.data(), bytes.size(), 0,
+                       reinterpret_cast<sockaddr*>(&dst), sizeof dst),
+              static_cast<ssize_t>(bytes.size()))
+        << what;
+  }
+  ASSERT_TRUE(eventually([&] { return tr.datagrams_rejected() == bad.size(); }));
+
+  // Node b still takes well-formed traffic, and only that.
+  tr.send(a, b, Payload(body_of("ok")));
+  ASSERT_TRUE(eventually([&] { return in.count.load() == 1; }));
+  ex.stop();
+  EXPECT_EQ(tr.datagrams_rejected(), bad.size());
+  EXPECT_EQ(tr.packets_delivered(), 1u);
+  EXPECT_EQ(in.frames, std::vector<Bytes>{body_of("ok")});
 }
 
 }  // namespace

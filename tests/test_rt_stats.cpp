@@ -34,6 +34,13 @@ namespace {
 
 Bytes body_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
+/// Stops the executor when the scope ends, so an early ASSERT return never
+/// destroys a group or transport that the executor's threads still run.
+struct StopOnExit {
+  Executor& ex;
+  ~StopOnExit() { ex.stop(); }
+};
+
 /// Spin until `pred` holds or ~5 s elapse.
 template <typename Pred>
 bool eventually(Pred pred) {
@@ -152,6 +159,62 @@ TEST(ShardStats, SnapshotDecodesLoopHealthCounters) {
 #endif
 }
 
+TEST(ShardStats, SnapshotsNeverGoBackwardsUnderContinuousPublishing) {
+  // A writer that publishes the whole registry back to back keeps a
+  // publication open much of the time, so a read can race every attempt.
+  // Such a read must decode the last clean image, never an uncertified one:
+  // a counter read by successive snapshots never goes backwards.
+  EventLoop loop;  // never run: one thread at a time stands in for its thread
+  ShardStats ss(loop, 0);
+  std::uint64_t published = 0;
+  ss.registry().attach_counter("test.published", &published);
+  ss.seal();
+  // A first clean image, read while nothing publishes.
+  for (int i = 0; i < 100; ++i) {
+    ++published;
+    ss.flush();
+  }
+  StatsSnapshot first;
+  ASSERT_TRUE(ss.snapshot(first, 0));
+  std::uint64_t last = first.find_scalar("test.published")->value;
+  ASSERT_EQ(last, 100u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> flushes{0};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      ++published;
+      ss.flush();
+      flushes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  struct JoinOnExit {
+    std::atomic<bool>& stop;
+    std::thread& t;
+    ~JoinOnExit() {
+      stop.store(true);
+      if (t.joinable()) t.join();
+    }
+  } join_on_exit{stop, writer};
+
+  // Read only once the writer is publishing, and while it still is.
+  while (flushes.load(std::memory_order_relaxed) < 1000) std::this_thread::yield();
+  for (int i = 0; i < 5000; ++i) {
+    StatsSnapshot snap;
+    ss.snapshot(snap, 0);
+    const auto* c = snap.find_scalar("test.published");
+    ASSERT_NE(c, nullptr);
+    ASSERT_GE(c->value, last) << "counter went backwards at read " << i;
+    last = c->value;
+  }
+  stop.store(true);
+  writer.join();
+  // With the writer quiet, a read is clean and current.
+  StatsSnapshot snap;
+  ASSERT_TRUE(ss.snapshot(snap, 0));
+  EXPECT_EQ(snap.find_scalar("test.published")->value, published);
+}
+
 // ----------------------------------------------------------- signal adapter
 
 TEST(RtSignalAdapter, UnsealedStatsLeaveVectorUntouched) {
@@ -200,6 +263,7 @@ TEST(RtStatsPlane, SnapshotUnderLoadIsConsistent) {
   RtStatsPlane plane(ex, &tr, RtStatsConfig{5 * kMillisecond});
   RtGroup group(tr, kN, make_reliable_fifo_factory(), /*shard=*/0);
   plane.attach_group(group, "g0", /*sample_shift=*/0);  // exact accounting
+  const StopOnExit stop_on_exit{ex};
   ex.start();
   plane.start();
   group.start();
@@ -256,6 +320,7 @@ TEST(RtStatsPlane, LatencyAccountsEveryDelivery) {
   RtGroup group(tr, kN, make_reliable_fifo_factory());
   // Default name ("g0"); shift 0 so every delivery must be accounted.
   LatencyTracker& lat = plane.attach_group(group, {}, /*sample_shift=*/0);
+  const StopOnExit stop_on_exit{ex};
   ex.start();
   plane.start();
   group.start();

@@ -129,5 +129,25 @@ TEST_F(SequencerInternals, FifoPerOriginPreservedThroughSequencing) {
   }
 }
 
+TEST_F(SequencerInternals, GapNackWithHugeCountIsDropped) {
+  // A gap NACK (kGapNack: count) claiming 2^32 - 1 eight-byte entries and
+  // carrying none, once through the batched receive path (member 1) and
+  // once through the per-message one (member 2). Reserving for the claim
+  // would abort the process; the frames are dropped and ordering goes on.
+  GroupHarness h(3, seq_stack());
+  h.group.stack(2).set_batching(false);
+  for (const std::size_t dst : {1u, 2u}) {
+    Message nack = Message::group({});
+    nack.push_header([](Writer& w) {
+      w.u8(2);
+      w.u32(0xffffffffu);
+    });
+    h.net.send(h.group.node(0), h.group.node(dst), std::move(nack.data));
+  }
+  h.sim.run_for(10 * kMillisecond);
+  h.send_and_settle(1, to_bytes("after"), kSecond);
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+}
+
 }  // namespace
 }  // namespace msw

@@ -142,5 +142,31 @@ TEST_F(TokenInternals, MulticastNackServedByOriginHistory) {
   EXPECT_GT(g_tok[0]->stats().history_retransmissions, 0u);
 }
 
+TEST_F(TokenInternals, FrameWithHugeCountIsDropped) {
+  // A token (kToken: serial, next gseq, delivered count) and a NACK (kNack:
+  // count), each claiming 2^32 - 1 eight-byte entries and carrying none.
+  // Reserving for the claim would abort the process; the frames are
+  // dropped and the ring is unharmed.
+  GroupHarness h(3, tok_stack());
+  h.sim.run_for(10 * kMillisecond);
+  Message token = Message::group({});
+  token.push_header([](Writer& w) {
+    w.u8(1);
+    w.u64(1'000'000);
+    w.u64(0);
+    w.u32(0xffffffffu);
+  });
+  h.net.send(h.group.node(0), h.group.node(1), std::move(token.data));
+  Message nack = Message::group({});
+  nack.push_header([](Writer& w) {
+    w.u8(3);
+    w.u32(0xffffffffu);
+  });
+  h.net.send(h.group.node(0), h.group.node(2), std::move(nack.data));
+  h.sim.run_for(10 * kMillisecond);
+  h.send_and_settle(1, to_bytes("after"), kSecond);
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+}
+
 }  // namespace
 }  // namespace msw

@@ -153,5 +153,38 @@ TEST_F(VsyncTest, AppSeesViewNotificationBody) {
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{h.group.node(0).v}));
 }
 
+TEST_F(VsyncTest, FramesWithHugeCountsAreDropped) {
+  // A FLUSH request (kFlushReq: view, member count) and a cut (kCut: view,
+  // member count), each claiming 2^32 - 1 four-byte members and carrying
+  // none, under the reliable layer's pass-through byte. Reserving for the
+  // claim would abort the process; the frames are dropped and the view
+  // keeps carrying data.
+  GroupHarness h(3, vsync_stack());
+  h.sim.run_for(10 * kMillisecond);
+  const std::uint64_t view = g_vsync[1]->current_view();
+  for (const std::uint8_t type : {std::uint8_t{1}, std::uint8_t{3}}) {
+    Message m = Message::group({});
+    m.push_header([type](Writer& w) {
+      w.u8(type);
+      w.u64(1);
+      w.u32(0xffffffffu);
+    });
+    m.push_header([](Writer& w) { w.u8(1); });
+    h.net.send(h.group.node(0), h.group.node(1), std::move(m.data));
+  }
+  h.sim.run_for(10 * kMillisecond);
+  h.send_and_settle(2, to_bytes("after"), kSecond);
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+  EXPECT_EQ(g_vsync[1]->current_view(), view);
+}
+
+TEST_F(VsyncTest, ViewBodyWithHugeCountIsADecodeError) {
+  Bytes body;
+  Writer w(body);
+  w.u32(0xffffffffu);
+  w.u32(7);
+  EXPECT_THROW(decode_view_body(body), DecodeError);
+}
+
 }  // namespace
 }  // namespace msw
