@@ -8,7 +8,7 @@
 // Paper reference (section 7): sequencer latency ~ two network hops at low
 // load, rising steeply as the sequencer saturates; token latency roughly
 // half a ring rotation, nearly flat; cross-over between 5 and 6 active
-// senders.
+// senders. The bench exits non-zero unless its cross-over lies there.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -50,7 +50,6 @@ int run() {
   rule();
 
   int crossover = -1;
-  double prev_gap = 0;
   for (std::size_t k = 1; k <= kGroupSize; ++k) {
     const auto seq = run_one(make_sequencer_factory(sequencer_config()), k);
     const auto tok = run_one(make_token_factory(token_config()), k);
@@ -61,8 +60,6 @@ int run() {
     std::printf("%-8zu %14.2f %14.2f %14.2f   %s\n", k, s, t, h,
                 s < t ? "sequencer" : "token");
     if (crossover < 0 && s > t) crossover = static_cast<int>(k);
-    prev_gap = t - s;
-    (void)prev_gap;
     if (seq.missing_deliveries + tok.missing_deliveries + hyb.missing_deliveries > 0) {
       std::printf("         (WARNING: missing deliveries: seq=%llu tok=%llu hyb=%llu)\n",
                   static_cast<unsigned long long>(seq.missing_deliveries),
@@ -87,6 +84,12 @@ int run() {
       "shape check: sequencer low & rising, token high & flat, hybrid tracks the\n"
       "lower envelope (paper section 7: 'a hybrid protocol formed by switching at\n"
       "the cross-over point would achieve the best of both worlds').\n");
+  // The claim this bench reproduces: the sequencer wins at 5 active
+  // senders and the token ring at 6.
+  if (crossover != 6) {
+    std::fprintf(stderr, "FAIL: cross-over is not between 5 and 6 active senders\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -188,10 +188,10 @@ void BM_BatchedFanOut(benchmark::State& state) {
 BENCHMARK(BM_BatchedFanOut)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_BatchedGroupSend(benchmark::State& state) {
-  // End-to-end batched delivery: a 16-message send_batch through a
+  // End-to-end run delivery: a 16-message send_batch through a
   // fifo+reliable stack at every member of an N-member group, ideal cost
-  // model. Measures the whole amortized path — one layer dispatch per
-  // layer, flat header encodes, one scatter, coalesced delivery events.
+  // model. Measures the whole path — each message through every layer,
+  // one multicast_run scatter, coalesced delivery events.
   constexpr std::size_t kRun = 16;
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Simulation sim(1);

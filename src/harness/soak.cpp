@@ -125,7 +125,6 @@ SoakResult run_soak_once(const SoakConfig& cfg,
               causal ? make_causal_factory() : make_hybrid_total_order_factory(),
               /*capture_trace=*/false);
   Group* gp = &group;
-  group.set_batching(true);
 
   const std::uint64_t total_batches =
       (cfg.messages + cfg.batch - 1) / std::max<std::size_t>(cfg.batch, 1);

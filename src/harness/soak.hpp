@@ -37,7 +37,7 @@ struct SoakConfig {
   /// Total application sends across the run. In wall-clock budget mode
   /// (budget_seconds > 0) this is the size of ONE round instead.
   std::uint64_t messages = 1'000'000;
-  /// Messages per batched send call (the batched data plane is on).
+  /// Messages per Stack::send_batch call.
   std::size_t batch = 8;
   /// Gap between send batches (round-robin over senders).
   Duration send_interval = 1 * kMillisecond;

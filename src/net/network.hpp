@@ -97,7 +97,7 @@ class Network final : public Transport {
   /// Install the receive callback for a node (required before traffic).
   void set_handler(NodeId node, PacketHandler handler) override;
 
-  /// Install the batched receive callback for a node (optional; see
+  /// Install the run receive callback for a node (optional; see
   /// PacketRunHandler). Only coalesced runs from multicast_run use it.
   void set_run_handler(NodeId node, PacketRunHandler handler) override;
 
@@ -109,7 +109,7 @@ class Network final : public Transport {
   /// share `data`'s buffer — fan-out is O(1) per destination, not O(bytes).
   void multicast(NodeId from, const std::vector<NodeId>& to, Payload data) override;
 
-  /// Batched multicast: behaves exactly like calling multicast() once per
+  /// Multicast a run: behaves exactly like calling multicast() once per
   /// element of `msgs`, in order — same per-link RNG draws, same fault
   /// decisions, same stats, same per-destination delivery order — but
   /// copies to one destination whose arrivals coincide are coalesced into
@@ -164,8 +164,6 @@ class Network final : public Transport {
   /// as the sequencer's ordering work). Subsequent sends and receive
   /// processing at this node queue behind it.
   void consume_cpu(NodeId node, Duration d) override;
-
-  TickArena* tick_arena() override { return &sched_.tick_arena(); }
 
   NetStats& stats() { return stats_; }
   const NetStats& stats() const { return stats_; }

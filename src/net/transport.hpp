@@ -34,8 +34,6 @@
 
 namespace msw {
 
-class TickArena;
-
 /// A datagram in flight. `src` is stamped by the medium; protocols must not
 /// rely on it for *authenticated* identity — that is what the integrity
 /// layer is for. The payload is a shared refcounted buffer: an
@@ -51,10 +49,10 @@ struct Packet {
 /// dispatch is one indirect call.
 using PacketHandler = UniqueFunction<void(Packet)>;
 
-/// Optional batched receive callback: a coalesced run of same-instant
-/// packets from one sender, delivered in one call. Nodes without one
-/// installed receive runs through their PacketHandler, one call per packet,
-/// in the same order.
+/// Optional run receive callback: a coalesced run of same-instant packets
+/// from one sender, delivered in one call. Nodes without one installed
+/// receive runs through their PacketHandler, one call per packet, in the
+/// same order.
 using PacketRunHandler = UniqueFunction<void(NodeId src, std::span<const Payload> run)>;
 
 /// Handle for a pending transport timer. Backends mint tokens unique for
@@ -90,9 +88,10 @@ class Transport {
   /// arrange it.
   virtual void multicast(NodeId from, const std::vector<NodeId>& to, Payload data) = 0;
 
-  /// Batched multicast: like calling multicast() once per element of
-  /// `msgs`, in order. The sim coalesces same-instant arrivals into one
-  /// scatter; other backends may simply loop.
+  /// Multicast a run: like calling multicast() once per element of `msgs`,
+  /// in order. Stack::send_batch is the library's one caller. The sim
+  /// coalesces a destination's same-instant arrivals into one scatter
+  /// event; other backends loop.
   virtual void multicast_run(NodeId from, const std::vector<NodeId>& to,
                              std::span<const Payload> msgs) {
     for (const Payload& p : msgs) multicast(from, to, p);
@@ -116,10 +115,6 @@ class Transport {
   /// Model protocol processing cost. The sim charges the node's serial
   /// CPU; real backends do nothing — processing time there is real.
   virtual void consume_cpu(NodeId node, Duration d) { (void)node; (void)d; }
-
-  /// The sim scheduler's per-tick allocator, or nullptr on real backends
-  /// (batch paths then fall back to per-context scratch buffers).
-  virtual TickArena* tick_arena() { return nullptr; }
 };
 
 }  // namespace msw

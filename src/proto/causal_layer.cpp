@@ -49,39 +49,6 @@ void CausalLayer::down(Message m) {
   ctx().send_down(std::move(m));
 }
 
-void CausalLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));
-      return;
-    }
-  }
-  // Flat encode: every header is 1 + 4 + 4 + 8 * member_count bytes. Each
-  // message gets its own vector clock (our slot advances per send), but the
-  // other slots are identical across the batch, so encode from delivered_
-  // directly instead of materializing a vc copy per message.
-  const std::size_t n = ctx().member_count();
-  const std::size_t kHdr = 1 + 4 + 4 + 8 * n;
-  const std::uint32_t origin = ctx().self().v;
-  const std::size_t self_idx = ctx().self_index();
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(Type::kData));
-    w.u32(origin);
-    w.u32(static_cast<std::uint32_t>(n));
-    for (std::size_t k = 0; k < n; ++k) {
-      w.u64(k == self_idx ? sent_ : delivered_[k]);
-    }
-    ++sent_;
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i].push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-  }
-  ctx().send_down(std::move(b));
-}
-
 void CausalLayer::up(Message m) {
   Type type{};
   std::uint32_t origin = 0;
@@ -110,41 +77,6 @@ void CausalLayer::up(Message m) {
   drain();
 }
 
-void CausalLayer::up_batch(MessageBatch b) {
-  MessageBatch out;
-  for (Message& m : b) {
-    Type type{};
-    std::uint32_t origin = 0;
-    std::vector<std::uint64_t> vc;
-    try {
-      m.pop_header([&](Reader& r) {
-        type = static_cast<Type>(r.u8());
-        if (type == Type::kData) {
-          origin = r.u32();
-          const std::uint32_t n = r.u32();
-          if (n > r.remaining() / 8) throw DecodeError("causal: vector clock exceeds frame");
-          vc.reserve(n);
-          for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
-        }
-      });
-    } catch (const DecodeError&) {
-      continue;  // matches the unbatched per-packet drop at the stack
-    }
-    if (type == Type::kPass) {
-      out.push_back(std::move(m));
-      continue;
-    }
-    if (vc.size() != ctx().member_count()) continue;  // malformed
-    pending_.push_back(Pending{index_of(origin), std::move(vc), std::move(m)});
-    if (!deliverable(pending_.back())) {
-      ++blocked_total_;
-      tr_->instant(n_blocked_, TelemetryTrack::kData, pending_.size());
-    }
-    drain(&out);
-  }
-  ctx().deliver_up(std::move(out));
-}
-
 bool CausalLayer::deliverable(const Pending& p) const {
   // Next in the origin's stream, and every causal dependency satisfied.
   if (delivered_[p.origin_idx] != p.vc[p.origin_idx]) return false;
@@ -155,7 +87,7 @@ bool CausalLayer::deliverable(const Pending& p) const {
   return true;
 }
 
-void CausalLayer::drain(MessageBatch* out) {
+void CausalLayer::drain() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -164,8 +96,7 @@ void CausalLayer::drain(MessageBatch* out) {
       Pending ready = std::move(pending_[i]);
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       ++delivered_[ready.origin_idx];
-      if (out != nullptr) out->push_back(std::move(ready.m));
-      else ctx().deliver_up(std::move(ready.m));
+      ctx().deliver_up(std::move(ready.m));
       progressed = true;
       break;  // restart: delivery may enable earlier entries
     }

@@ -28,8 +28,6 @@ class CausalLayer : public Layer {
   void start() override;
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   /// Messages buffered waiting for causal predecessors.
   std::size_t buffered() const { return pending_.size(); }
@@ -42,8 +40,7 @@ class CausalLayer : public Layer {
   };
 
   bool deliverable(const Pending& p) const;
-  /// `out` non-null collects deliveries into a batch (batched receive path).
-  void drain(MessageBatch* out = nullptr);
+  void drain();
   std::size_t index_of(std::uint32_t member) const;
 
   std::vector<std::uint64_t> delivered_;  // per member index

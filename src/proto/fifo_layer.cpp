@@ -65,75 +65,6 @@ void FifoLayer::up(Message m) {
   }
 }
 
-void FifoLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      // Mixed run: rare, and the pass-through stamp differs per kind. Take
-      // the per-message path for the whole run.
-      Layer::down_batch(std::move(b));
-      return;
-    }
-  }
-  // Pure group run: one flat encode of every header into tick scratch, then
-  // one raw stamp per message — no per-message Writer setup.
-  const std::uint32_t origin = ctx().self().v;
-  const std::uint64_t first_seq = next_seq_;
-  next_seq_ += b.size();
-  constexpr std::size_t kHdr = 13;  // u8 type + u32 origin + u64 seq
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(Type::kData));
-    w.u32(origin);
-    w.u64(first_seq + i);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i].push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-  }
-  ctx().send_down(std::move(b));
-}
-
-void FifoLayer::up_batch(MessageBatch b) {
-  // Same logic as up(), but contiguous releases from the whole run leave as
-  // one batch: the drain of a filled gap rides one dispatch upward.
-  MessageBatch out;
-  for (Message& m : b) {
-    Type type{};
-    std::uint32_t origin = 0;
-    std::uint64_t seq = 0;
-    try {
-      m.pop_header([&](Reader& r) {
-        type = static_cast<Type>(r.u8());
-        if (type == Type::kData) {
-          origin = r.u32();
-          seq = r.u64();
-        }
-      });
-    } catch (const DecodeError&) {
-      continue;  // drop the malformed message, keep its runmates
-    }
-    if (type == Type::kPass) {
-      out.push_back(std::move(m));
-      continue;
-    }
-    Origin& o = origins_[origin];
-    if (seq < o.next_expected) continue;  // duplicate of an already-delivered message
-    if (seq != o.next_expected) {
-      ++gaps_buffered_;
-      tr_->instant(n_gap_, TelemetryTrack::kData, seq - o.next_expected);
-    }
-    o.pending.emplace(seq, std::move(m));
-    for (auto it = o.pending.find(o.next_expected); it != o.pending.end();
-         it = o.pending.find(o.next_expected)) {
-      out.push_back(std::move(it->second));
-      o.pending.erase(it);
-      ++o.next_expected;
-    }
-  }
-  ctx().deliver_up(std::move(out));
-}
-
 std::size_t FifoLayer::buffered() const {
   std::size_t n = 0;
   for (const auto& [origin, o] : origins_) n += o.pending.size();

@@ -24,8 +24,6 @@ class FifoLayer : public Layer {
   void start() override;
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   /// Messages buffered waiting for a gap to fill (all origins).
   std::size_t buffered() const;

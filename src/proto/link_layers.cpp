@@ -60,31 +60,6 @@ void StopAndWaitLayer::down(Message m) {
   if (!awaiting_ack_) send_front();
 }
 
-void StopAndWaitLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));
-      return;
-    }
-  }
-  // Enqueue the whole batch with one flat header encode, then kick the ARQ
-  // pipeline once — at most one frame goes on the wire either way.
-  constexpr std::size_t kHdr = 1 + 8;
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(Type::kData));
-    w.u64(next_seq_++);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    loop_back(b[i]);
-    b[i].push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-    queue_.push_back(std::move(b[i].data));
-  }
-  if (!awaiting_ack_) send_front();
-}
-
 void StopAndWaitLayer::send_front() {
   if (queue_.empty()) return;
   awaiting_ack_ = true;
@@ -150,32 +125,6 @@ void GoBackNLayer::down(Message m) {
   }
   loop_back(m);
   backlog_.push_back(make_data_frame(std::move(m), next_seq_++));
-  pump();
-}
-
-void GoBackNLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));
-      return;
-    }
-  }
-  // Backlog the whole batch with one flat header encode, then pump once:
-  // the same frames leave in the same order, with a single timer re-arm
-  // instead of one per message.
-  constexpr std::size_t kHdr = 1 + 8;
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(Type::kData));
-    w.u64(next_seq_++);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    loop_back(b[i]);
-    b[i].push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-    backlog_.push_back(std::move(b[i].data));
-  }
   pump();
 }
 

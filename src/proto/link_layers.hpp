@@ -51,7 +51,6 @@ class StopAndWaitLayer : public LinkLayerBase {
 
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
 
   struct Stats {
     std::uint64_t retransmissions = 0;
@@ -82,7 +81,6 @@ class GoBackNLayer : public LinkLayerBase {
 
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
 
   struct Stats {
     std::uint64_t retransmissions = 0;

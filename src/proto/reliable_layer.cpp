@@ -160,56 +160,7 @@ void ReliableLayer::down(Message m) {
   ctx().send_down(std::move(m));
 }
 
-void ReliableLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));  // mixed run: per-message path
-      return;
-    }
-  }
-  // Pure group run: flat header encode, per-message retention bookkeeping,
-  // one batched send below.
-  const std::uint32_t origin = ctx().self().v;
-  constexpr std::size_t kHdr = 13;  // u8 type + u32 origin + u64 seq
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  const std::uint64_t first_seq = next_seq_;
-  next_seq_ += b.size();
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(Type::kData));
-    w.u32(origin);
-    w.u64(first_seq + i);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    Message& m = b[i];
-    m.push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-    if (sent_buffer_.empty()) {
-      // Same re-admission rule as down(): the first message of a burst
-      // refreshes the GC quorum (see the comment there).
-      quorum_baseline_ = std::max(quorum_baseline_, ctx().now());
-      evicted_.clear();
-    }
-    sent_buffer_.emplace(first_seq + i, m.data);
-    if (cfg_.max_sent_buffer > 0) {
-      while (sent_buffer_.size() > cfg_.max_sent_buffer) {
-        sent_buffer_.erase(sent_buffer_.begin());
-        ++stats_.buffer_evictions;
-      }
-    }
-  }
-  ctx().send_down(std::move(b));
-}
-
-void ReliableLayer::up_batch(MessageBatch b) {
-  MessageBatch out;
-  for (Message& m : b) up_impl(std::move(m), &out);
-  ctx().deliver_up(std::move(out));
-}
-
-void ReliableLayer::up(Message m) { up_impl(std::move(m), nullptr); }
-
-void ReliableLayer::up_impl(Message m, MessageBatch* out) {
+void ReliableLayer::up(Message m) {
   last_heard_[m.wire_src.v] = ctx().now();
   evicted_.erase(m.wire_src.v);  // any sign of life rejoins the GC quorum
 
@@ -295,23 +246,13 @@ void ReliableLayer::up_impl(Message m, MessageBatch* out) {
   }
   switch (type) {
     case Type::kData:
-      on_data(origin, seq, std::move(m), wire_copy, out);
+      on_data(origin, seq, std::move(m), wire_copy);
       break;
     case Type::kPass:
-      if (out != nullptr) {
-        out->push_back(std::move(m));
-      } else {
-        ctx().deliver_up(std::move(m));
-      }
+      ctx().deliver_up(std::move(m));
       break;
     case Type::kNack:
     case Type::kNackRange:
-      // Retransmissions leave here; flush queued deliveries first so wire
-      // emissions interleave exactly as in per-message execution.
-      if (out != nullptr && !out->empty()) {
-        ctx().deliver_up(std::move(*out));
-        *out = MessageBatch{};
-      }
       on_nack(m.wire_src, origin, nack_ranges);
       break;
     case Type::kHeartbeat:
@@ -328,7 +269,7 @@ void ReliableLayer::up_impl(Message m, MessageBatch* out) {
 }
 
 void ReliableLayer::on_data(std::uint32_t origin, std::uint64_t seq, Message m,
-                            const Payload& wire_copy, MessageBatch* out) {
+                            const Payload& wire_copy) {
   OriginState& o = origins_[origin];
   o.announced = std::max(o.announced, seq + 1);
   if (!o.track.insert(seq)) {
@@ -345,11 +286,7 @@ void ReliableLayer::on_data(std::uint32_t origin, std::uint64_t seq, Message m,
       }
     }
   }
-  if (out != nullptr) {
-    out->push_back(std::move(m));
-  } else {
-    ctx().deliver_up(std::move(m));
-  }
+  ctx().deliver_up(std::move(m));
 }
 
 NodeId ReliableLayer::nack_target(std::uint32_t origin) {
@@ -453,7 +390,7 @@ void ReliableLayer::refill_own_gaps() {
     Message m;
     m.data = std::move(p);
     m.wire_src = ctx().self();
-    up_impl(std::move(m), nullptr);
+    up(std::move(m));
   }
 }
 

@@ -136,8 +136,6 @@ class ReliableLayer : public Layer {
   void start() override;
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   struct Stats {
     std::uint64_t nacks_sent = 0;
@@ -172,14 +170,7 @@ class ReliableLayer : public Layer {
     std::uint64_t announced = 0;
   };
 
-  /// `out` non-null collects the delivery into a batch instead of
-  /// delivering immediately (the batched receive path).
-  void on_data(std::uint32_t origin, std::uint64_t seq, Message m, const Payload& wire_copy,
-               MessageBatch* out = nullptr);
-  /// Shared body of up()/up_batch(): with `out` null, deliveries go up
-  /// immediately; non-null, they append to the batch (which is flushed
-  /// before any handler that can send, preserving wire ordering).
-  void up_impl(Message m, MessageBatch* out);
+  void on_data(std::uint32_t origin, std::uint64_t seq, Message m, const Payload& wire_copy);
   void on_nack(NodeId requester, std::uint32_t origin, const std::vector<SeqRange>& ranges);
   void on_heartbeat(std::uint32_t origin, std::uint64_t next_seq);
   void on_ack(std::uint32_t from, std::uint64_t contiguous);

@@ -29,6 +29,7 @@ void SequencerLayer::start() {
     reg->attach_counter("seq.requests_retransmitted", &stats_.requests_retransmitted);
     reg->attach_counter("seq.gap_nacks_sent", &stats_.gap_nacks_sent);
     reg->attach_counter("seq.history_retransmissions", &stats_.history_retransmissions);
+    reg->attach_counter("seq.self_refills", &stats_.self_refills);
     reg->attach_counter("seq.duplicates_dropped", &stats_.duplicates_dropped);
     reg->attach_counter("seq.sequenced", &stats_.sequenced);
     // Queue depth the switch policy's SignalPlane reads: order requests this
@@ -128,130 +129,6 @@ void SequencerLayer::up(Message m) {
   }
 }
 
-void SequencerLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));  // mixed run: per-message path
-      return;
-    }
-  }
-  if (!is_sequencer()) {
-    // Order requests leave point-to-point (one per message by design — the
-    // sequencer acks them individually); nothing to amortize here.
-    Layer::down_batch(std::move(b));
-    return;
-  }
-  // Sequencer fast path: assign the whole run's global sequence numbers in
-  // one pass — flat header encode, one amortized ordering charge (same
-  // total CPU as per-message), one batched multicast below.
-  const std::uint32_t origin = ctx().self().v;
-  constexpr std::size_t kHdr = 21;  // u8 type + u64 gseq + u32 origin + u64 oseq
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  MessageBatch out;
-  out.reserve(b.size());
-  std::uint64_t ordered = 0;
-  for (Message& m : b) {
-    const std::uint64_t oseq = next_oseq_++;
-    if (!sequenced_oseqs_[origin].insert(oseq)) {
-      ++stats_.duplicates_dropped;  // unreachable for fresh oseqs; kept for parity
-      continue;
-    }
-    const std::uint64_t gseq = next_gseq_++;
-    ++stats_.sequenced;
-    ++ordered;
-    const std::size_t off = scratch.size();
-    w.u8(static_cast<std::uint8_t>(Type::kSequenced));
-    w.u64(gseq);
-    w.u32(origin);
-    w.u64(oseq);
-    m.push_header_raw(std::span<const Byte>(scratch.data() + off, kHdr));
-    history_.emplace(gseq, m.data);
-    assigned_.emplace(std::make_pair(origin, oseq), gseq);
-    m.point_to.reset();
-    out.push_back(std::move(m));
-  }
-  ctx().consume_cpu(static_cast<Duration>(ordered) * cfg_.order_cost);
-  ctx().send_down(std::move(out));
-}
-
-void SequencerLayer::up_batch(MessageBatch b) {
-  MessageBatch out;
-  // Handlers that may send (order requests, gap nacks) see the stack in the
-  // same state as per-message execution: queued deliveries flush first.
-  auto flush = [&] {
-    if (!out.empty()) {
-      ctx().deliver_up(std::move(out));
-      out = MessageBatch{};
-    }
-  };
-  for (Message& m : b) {
-    Type type{};
-    std::uint32_t origin = 0;
-    std::uint64_t oseq = 0;
-    std::uint64_t gseq = 0;
-    std::vector<std::uint64_t> nack_gseqs;
-    try {
-      m.pop_header([&](Reader& r) {
-        type = static_cast<Type>(r.u8());
-        switch (type) {
-          case Type::kOrderReq:
-            origin = r.u32();
-            oseq = r.u64();
-            break;
-          case Type::kSequenced:
-            gseq = r.u64();
-            origin = r.u32();
-            oseq = r.u64();
-            break;
-          case Type::kGapNack: {
-            const std::uint32_t count = r.u32();
-            if (count > r.remaining() / 8) throw DecodeError("gap nack: count exceeds frame");
-            nack_gseqs.reserve(count);
-            for (std::uint32_t i = 0; i < count; ++i) nack_gseqs.push_back(r.u64());
-            break;
-          }
-          case Type::kGcAck:
-            origin = r.u32();
-            gseq = r.u64();
-            break;
-          case Type::kHeartbeat:
-            gseq = r.u64();
-            break;
-          case Type::kPass:
-            break;
-        }
-      });
-    } catch (const DecodeError&) {
-      continue;  // drop the malformed message, keep its runmates
-    }
-    switch (type) {
-      case Type::kOrderReq:
-        flush();
-        on_order_req(origin, oseq, std::move(m));
-        break;
-      case Type::kSequenced:
-        on_sequenced(gseq, origin, oseq, std::move(m), &out);
-        break;
-      case Type::kGapNack:
-        flush();
-        on_gap_nack(m.wire_src, nack_gseqs);
-        break;
-      case Type::kGcAck:
-        on_gc_ack(origin, gseq);
-        break;
-      case Type::kHeartbeat:
-        highest_gseq_seen_ = std::max(highest_gseq_seen_, gseq);
-        break;
-      case Type::kPass:
-        out.push_back(std::move(m));
-        break;
-    }
-  }
-  ctx().deliver_up(std::move(out));
-}
-
 void SequencerLayer::on_order_req(std::uint32_t origin, std::uint64_t oseq, Message m) {
   if (!is_sequencer()) return;  // misrouted
   sequence_and_multicast(origin, oseq, std::move(m));
@@ -289,7 +166,7 @@ void SequencerLayer::sequence_and_multicast(std::uint32_t origin, std::uint64_t 
 }
 
 void SequencerLayer::on_sequenced(std::uint64_t gseq, std::uint32_t origin, std::uint64_t oseq,
-                                  Message m, MessageBatch* out) {
+                                  Message m) {
   highest_gseq_seen_ = std::max(highest_gseq_seen_, gseq + 1);
   if (origin == ctx().self().v) {
     pending_.erase(oseq);  // implicit ack
@@ -305,11 +182,7 @@ void SequencerLayer::on_sequenced(std::uint64_t gseq, std::uint32_t origin, std:
     Message ready = std::move(it->second);
     reorder_.erase(it);
     ++next_deliver_;
-    if (out != nullptr) {
-      out->push_back(std::move(ready));
-    } else {
-      ctx().deliver_up(std::move(ready));
-    }
+    ctx().deliver_up(std::move(ready));
   }
 }
 
@@ -358,12 +231,18 @@ void SequencerLayer::retransmit_pending() {
 }
 
 void SequencerLayer::send_gap_nacks() {
-  // The sequencer's horizon is its own assignment counter: its loopback
-  // SEQUENCED copies can be lost when the node crashes, and no other member
-  // can serve a nack on its behalf — it refills such gaps straight from
-  // local history instead (GC never collects below its own next_deliver_,
-  // so the bytes are always still there).
-  const std::uint64_t horizon = is_sequencer() ? next_gseq_ : highest_gseq_seen_;
+  // The sequencer's loopback SEQUENCED copies can be lost when the node
+  // crashes, and no other member can serve a nack on its behalf — it
+  // refills such gaps straight from local history instead, through its own
+  // up() (GC never collects below its own next_deliver_, so the bytes are
+  // always still there). Its horizon is refill_bound_: a copy assigned
+  // since the previous tick may still be queued behind a busy CPU, and
+  // refilling it would only make it a duplicate.
+  std::uint64_t horizon = highest_gseq_seen_;
+  if (is_sequencer()) {
+    horizon = refill_bound_;
+    refill_bound_ = next_gseq_;
+  }
   if (next_deliver_ < horizon) {
     // Enumerate gaps from the reorder buffer's keys — O(held + ranges),
     // not O(horizon - next_deliver_), which matters after a long partition.
@@ -383,8 +262,11 @@ void SequencerLayer::send_gap_nacks() {
         for (std::uint64_t g : missing) {
           auto it = history_.find(g);
           if (it == history_.end()) continue;
-          ++stats_.history_retransmissions;
-          ctx().send_down(Message::p2p(ctx().self(), it->second));
+          ++stats_.self_refills;
+          Message copy;
+          copy.data = it->second;
+          copy.wire_src = ctx().self();
+          up(std::move(copy));
         }
       } else {
         ++stats_.gap_nacks_sent;

@@ -63,15 +63,18 @@ class SequencerLayer : public Layer {
   void start() override;
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   bool is_sequencer() const { return ctx().self() == sequencer(); }
 
   struct Stats {
     std::uint64_t requests_retransmitted = 0;
     std::uint64_t gap_nacks_sent = 0;
+    /// History frames resent over the network (to a NACKing member, or to
+    /// an origin whose request was a duplicate).
     std::uint64_t history_retransmissions = 0;
+    /// The sequencer's own copies re-delivered locally from history (see
+    /// send_gap_nacks); never counted as retransmissions.
+    std::uint64_t self_refills = 0;
     std::uint64_t duplicates_dropped = 0;
     std::uint64_t sequenced = 0;  // messages this node assigned order to
   };
@@ -81,10 +84,7 @@ class SequencerLayer : public Layer {
   NodeId sequencer() const { return ctx().members().front(); }
 
   void on_order_req(std::uint32_t origin, std::uint64_t oseq, Message m);
-  /// `out` non-null collects deliveries into a batch instead of delivering
-  /// each immediately (the batched receive path).
-  void on_sequenced(std::uint64_t gseq, std::uint32_t origin, std::uint64_t oseq, Message m,
-                    MessageBatch* out = nullptr);
+  void on_sequenced(std::uint64_t gseq, std::uint32_t origin, std::uint64_t oseq, Message m);
   void on_gap_nack(NodeId requester, const std::vector<std::uint64_t>& gseqs);
   void on_gc_ack(std::uint32_t from, std::uint64_t contiguous);
 
@@ -109,6 +109,10 @@ class SequencerLayer : public Layer {
   std::map<std::uint64_t, Payload> history_;  // gseq -> sequenced frame (shared)
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> assigned_;  // (origin,oseq)->gseq
   std::unordered_map<std::uint32_t, std::uint64_t> gc_acked_;
+  // Gseqs below this bound were assigned before the previous NACK tick, so
+  // their loopback copies had a full interval to arrive; one still missing
+  // is lost (crash downtime) and is refilled from history_.
+  std::uint64_t refill_bound_ = 0;
 
   // Receiver state.
   std::uint64_t next_deliver_ = 0;

@@ -102,23 +102,6 @@ void RtGroup::send(std::size_t i, Bytes body) {
   });
 }
 
-void RtGroup::send_batch(std::size_t i, std::vector<Bytes> bodies) {
-  post([this, i, bodies = std::move(bodies)]() mutable {
-#if MSW_RT_STATS_ENABLED
-    if (latency_ != nullptr) {
-      const std::uint64_t base = stacks_[i]->sent();
-      const Time now = transport_.now();
-      for (std::size_t k = 0; k < bodies.size(); ++k) {
-        if (latency_->sampled(base + k)) {
-          latency_->on_send(members_[i].v, base + k, now);
-        }
-      }
-    }
-#endif
-    stacks_[i]->send_batch(std::move(bodies));
-  });
-}
-
 std::uint64_t RtGroup::total_delivered() {
   std::uint64_t n = 0;
   call([this, &n] {

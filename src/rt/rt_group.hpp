@@ -60,9 +60,6 @@ class RtGroup {
   /// Multicast from member i, executed on the shard thread.
   void send(std::size_t i, Bytes body);
 
-  /// Multicast a run from member i through the batched path.
-  void send_batch(std::size_t i, std::vector<Bytes> bodies);
-
   /// Totals, read consistently on the shard thread.
   std::uint64_t total_delivered();
   std::uint64_t total_sent();
@@ -80,7 +77,7 @@ class RtGroup {
 
   /// Wire end-to-end latency tracking (usually via RtStatsPlane::
   /// attach_group). Wiring phase only. Claims every stack's on_deliver
-  /// hook and stamps each RtGroup::send/send_batch at post-execution time
+  /// hook and stamps each RtGroup::send at post-execution time
   /// on the shard thread. Compiled to a no-op when MSW_RT_STATS is off.
   void attach_latency(LatencyTracker* t);
 

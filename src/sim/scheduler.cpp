@@ -30,20 +30,10 @@ void* TickArena::alloc(std::size_t bytes) {
   }
 }
 
-Bytes& TickArena::scratch() {
-  if (scratch_used_ == scratch_pool_.size()) {
-    scratch_pool_.push_back(std::make_unique<Bytes>());
-  }
-  Bytes& b = *scratch_pool_[scratch_used_++];
-  b.clear();
-  return b;
-}
-
 void TickArena::reset() {
   cur_block_ = 0;
   off_ = 0;
   used_ = 0;
-  scratch_used_ = 0;
   ++resets_;
 }
 
@@ -105,7 +95,7 @@ bool Scheduler::pop_one() {
       queue_.pop();  // cancelled; handler was already destroyed
       continue;
     }
-    if (ev.t != now_) arena_.reset();  // tick ended: release batch scratch
+    if (ev.t != now_) arena_.reset();  // tick ended: release the arena
     now_ = ev.t;
     Fn fn = std::move(s.fn);
     retire_slot(ev.slot);

@@ -28,10 +28,10 @@ namespace msw {
 
 class MetricsRegistry;
 
-/// Bump allocator scoped to one scheduler tick. Batch paths draw transient
-/// storage from it — header-encode scratch, fan-out grouping tables — and
-/// the whole arena is released wholesale when simulated time advances, so
-/// the steady-state batch hot loop performs no per-message allocation.
+/// Bump allocator scoped to one scheduler tick. Network::multicast_run
+/// draws its fan-out grouping tables from it, and the whole arena is
+/// released wholesale when simulated time advances, so the steady-state
+/// run scatter performs no per-message allocation.
 ///
 /// Only trivially-destructible data may live here (nothing runs destructors
 /// on reset), and nothing allocated from the arena may outlive the tick:
@@ -52,17 +52,11 @@ class TickArena {
     return static_cast<T*>(alloc(n * sizeof(T)));
   }
 
-  /// A pooled, cleared Bytes buffer valid until the clock next advances —
-  /// the flat scratch space batched header encoders write through. The
-  /// vectors themselves are recycled across ticks, so their capacity (and
-  /// thus the encode path's allocation count) amortizes to zero.
-  Bytes& scratch();
-
-  /// Release everything allocated this tick. Blocks and scratch vectors are
-  /// retained for reuse; only the bump cursor and pool index rewind.
+  /// Release everything allocated this tick. Blocks are retained for
+  /// reuse; only the bump cursor rewinds.
   void reset();
 
-  /// Bytes handed out since the last reset (scratch excluded).
+  /// Bytes handed out since the last reset.
   std::size_t used() const { return used_; }
   /// Largest `used()` ever observed — sizing signal for the block list.
   std::size_t high_water() const { return high_water_; }
@@ -82,8 +76,6 @@ class TickArena {
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;
   std::uint64_t resets_ = 0;
-  std::vector<std::unique_ptr<Bytes>> scratch_pool_;
-  std::size_t scratch_used_ = 0;
 };
 
 /// Handle for a scheduled event, usable with Scheduler::cancel. A default
@@ -138,8 +130,9 @@ class Scheduler : public TelemetryClock {
   /// Register the scheduler's counters on `reg` under "sched." names.
   void bind_metrics(MetricsRegistry& reg) const;
 
-  /// Per-tick allocator for batch paths. Reset automatically whenever the
-  /// clock advances to a new tick; see TickArena for lifetime rules.
+  /// Per-tick allocator for Network::multicast_run. Reset automatically
+  /// whenever the clock advances to a new tick; see TickArena for lifetime
+  /// rules.
   TickArena& tick_arena() { return arena_; }
 
  private:

@@ -1,109 +1,20 @@
-// A run of Messages travelling through the stack together.
+// A run of Messages.
 //
-// MessageBatch is the unit of the batched data plane: one virtual
-// dispatch, one CPU charge, and one flat header encode move a whole run of
-// messages through a layer instead of paying each cost per message. The
-// container is a small-vector: runs up to kInline messages (the common
-// case — a gap-fill release, a handful of same-tick sends) live entirely
-// in the batch object; larger runs spill wholesale to a heap vector so
-// iteration stays contiguous either way.
-//
-// A batch is an ordering promise, not a semantic boundary: layers must
-// process its messages exactly as if they had arrived back-to-back through
-// the per-message hooks, in order. Layers that cannot keep that promise
-// for a particular run (a mixed p2p/group run, an SP epoch boundary
-// mid-batch) fall back to the per-message path for it — see DESIGN.md
-// section 11 for the batch-transparency rules.
+// Layers handle one message at a time (Layer::down/up). A run exists only
+// at the medium: Stack::send_batch collects the group multicasts its sends
+// cause and hands them to Transport::multicast_run as one run, and the
+// simulator's coalesced delivery hands a run to Stack::on_packet_run,
+// which feeds each packet up the stack on its own. Layer::down_batch/
+// up_batch and LayerContext's batch overloads take a MessageBatch and
+// process it one message at a time, in order.
 #pragma once
 
-#include <array>
-#include <cstddef>
-#include <utility>
+#include <vector>
 
 #include "stack/message.hpp"
 
 namespace msw {
 
-class MessageBatch {
- public:
-  /// Runs up to this long never touch the heap.
-  static constexpr std::size_t kInline = 8;
-
-  MessageBatch() = default;
-  explicit MessageBatch(Message m) { push_back(std::move(m)); }
-
-  MessageBatch(const MessageBatch&) = delete;
-  MessageBatch& operator=(const MessageBatch&) = delete;
-
-  MessageBatch(MessageBatch&& other) noexcept
-      : inline_(std::move(other.inline_)),
-        heap_(std::move(other.heap_)),
-        size_(other.size_) {
-    other.size_ = 0;
-    other.heap_.clear();
-  }
-  MessageBatch& operator=(MessageBatch&& other) noexcept {
-    if (this != &other) {
-      inline_ = std::move(other.inline_);
-      heap_ = std::move(other.heap_);
-      size_ = other.size_;
-      other.size_ = 0;
-      other.heap_.clear();
-    }
-    return *this;
-  }
-
-  void push_back(Message m) {
-    if (size_ < kInline && heap_.empty()) {
-      inline_[size_] = std::move(m);
-    } else {
-      spill();
-      heap_.push_back(std::move(m));
-    }
-    ++size_;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  Message* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
-  const Message* data() const { return heap_.empty() ? inline_.data() : heap_.data(); }
-
-  Message& operator[](std::size_t i) { return data()[i]; }
-  const Message& operator[](std::size_t i) const { return data()[i]; }
-  Message& front() { return data()[0]; }
-  Message& back() { return data()[size_ - 1]; }
-
-  Message* begin() { return data(); }
-  Message* end() { return data() + size_; }
-  const Message* begin() const { return data(); }
-  const Message* end() const { return data() + size_; }
-
-  void clear() {
-    for (std::size_t i = 0; i < size_ && i < kInline; ++i) inline_[i] = Message{};
-    heap_.clear();
-    size_ = 0;
-  }
-
-  void reserve(std::size_t n) {
-    if (n > kInline) {
-      spill();
-      heap_.reserve(n);
-    }
-  }
-
- private:
-  /// Move every inline element to the heap vector so storage is contiguous
-  /// past kInline. After this, heap_ holds all messages.
-  void spill() {
-    if (!heap_.empty() || size_ == 0) return;
-    heap_.reserve(size_ * 2);
-    for (std::size_t i = 0; i < size_; ++i) heap_.push_back(std::move(inline_[i]));
-  }
-
-  std::array<Message, kInline> inline_;
-  std::vector<Message> heap_;  // holds *all* messages once size_ > kInline
-  std::size_t size_ = 0;
-};
+using MessageBatch = std::vector<Message>;
 
 }  // namespace msw

@@ -34,14 +34,9 @@ class Group {
   /// Multicast from member i.
   void send(std::size_t i, Bytes body) { stacks_[i]->send(std::move(body)); }
 
-  /// Multicast a same-instant run from member i through the batched path.
+  /// Multicast a same-instant run from member i (see Stack::send_batch).
   void send_batch(std::size_t i, std::vector<Bytes> bodies) {
     stacks_[i]->send_batch(std::move(bodies));
-  }
-
-  /// Toggle the batched data plane group-wide (see Stack::set_batching).
-  void set_batching(bool on) {
-    for (auto& s : stacks_) s->set_batching(on);
   }
 
   TraceCapture& capture() { return capture_; }

@@ -2,28 +2,7 @@
 
 #include <cassert>
 
-#include "util/log.hpp"
-
 namespace msw {
-
-void Layer::down_batch(MessageBatch b) {
-  for (Message& m : b) down(std::move(m));
-}
-
-void Layer::up_batch(MessageBatch b) {
-  for (Message& m : b) {
-    const NodeId src = m.wire_src;
-    try {
-      up(std::move(m));
-    } catch (const DecodeError& e) {
-      // Same drop-at-the-point-of-failure rule as Stack::on_packet: a
-      // malformed packet aborts its own traversal, never its runmates'.
-      MSW_LOG(kDebug, "layer", ctx_.now())
-          << to_string(ctx_.self()) << " dropped malformed packet from " << to_string(src)
-          << " in batch: " << e.what();
-    }
-  }
-}
 
 std::size_t LayerContext::self_index() const {
   const auto& m = members();
@@ -40,91 +19,24 @@ NodeId LayerContext::ring_successor() const {
 }
 
 LayerChain::LayerChain(Services& services, std::vector<std::unique_ptr<Layer>> layers,
-                       LayerContext::Route to_network, LayerContext::Route to_app,
-                       LayerContext::BatchRoute to_network_batch,
-                       LayerContext::BatchRoute to_app_batch)
+                       Route to_network, Route to_app)
     : layers_(std::move(layers)),
-      to_network_(std::move(to_network)),
-      to_app_(std::move(to_app)),
-      to_network_batch_(std::move(to_network_batch)),
-      to_app_batch_(std::move(to_app_batch)) {
+      network_end_(std::move(to_network)),
+      app_end_(std::move(to_app)),
+      top_(layers_.empty() ? static_cast<Layer*>(&network_end_) : layers_.front().get()),
+      bottom_(layers_.empty() ? static_cast<Layer*>(&app_end_) : layers_.back().get()) {
+  // Down from layer i goes to layer i+1 (or out the bottom); up from layer
+  // i goes to layer i-1 (or out the top). Raw pointers into layers_ are
+  // stable: the vector is never resized after construction.
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    // Down from layer i goes to layer i+1 (or out the bottom); up from
-    // layer i goes to layer i-1 (or out the top). Raw pointers into
-    // layers_ are stable: the vector is never resized after construction.
-    // Batch routes mirror the per-message wiring; a missing boundary batch
-    // route leaves the batch route empty, so LayerContext unrolls there.
-    LayerContext::Route down_route;
-    LayerContext::BatchRoute down_batch_route;
-    if (i + 1 < layers_.size()) {
-      Layer* below = layers_[i + 1].get();
-      down_route = [below](Message m) { below->down(std::move(m)); };
-      down_batch_route = [below](MessageBatch b) { below->down_batch(std::move(b)); };
-    } else {
-      down_route = [this](Message m) { to_network_(std::move(m)); };
-      if (to_network_batch_) {
-        down_batch_route = [this](MessageBatch b) { to_network_batch_(std::move(b)); };
-      }
-    }
-    LayerContext::Route up_route;
-    LayerContext::BatchRoute up_batch_route;
-    if (i > 0) {
-      Layer* above = layers_[i - 1].get();
-      up_route = [above](Message m) { above->up(std::move(m)); };
-      up_batch_route = [above](MessageBatch b) { above->up_batch(std::move(b)); };
-    } else {
-      up_route = [this](Message m) { to_app_(std::move(m)); };
-      if (to_app_batch_) {
-        up_batch_route = [this](MessageBatch b) { to_app_batch_(std::move(b)); };
-      }
-    }
-    layers_[i]->bind(LayerContext(&services, std::move(down_route), std::move(up_route),
-                                  std::move(down_batch_route), std::move(up_batch_route)));
+    Layer* below = i + 1 < layers_.size() ? layers_[i + 1].get() : &network_end_;
+    Layer* above = i > 0 ? layers_[i - 1].get() : &app_end_;
+    layers_[i]->bind(LayerContext(&services, below, above));
   }
 }
 
 void LayerChain::start() {
   for (auto& l : layers_) l->start();
-}
-
-void LayerChain::down_from_top(Message m) {
-  if (layers_.empty()) {
-    to_network_(std::move(m));
-  } else {
-    layers_.front()->down(std::move(m));
-  }
-}
-
-void LayerChain::up_from_bottom(Message m) {
-  if (layers_.empty()) {
-    to_app_(std::move(m));
-  } else {
-    layers_.back()->up(std::move(m));
-  }
-}
-
-void LayerChain::down_from_top_batch(MessageBatch b) {
-  if (layers_.empty()) {
-    if (to_network_batch_) {
-      to_network_batch_(std::move(b));
-    } else {
-      for (Message& m : b) to_network_(std::move(m));
-    }
-  } else {
-    layers_.front()->down_batch(std::move(b));
-  }
-}
-
-void LayerChain::up_from_bottom_batch(MessageBatch b) {
-  if (layers_.empty()) {
-    if (to_app_batch_) {
-      to_app_batch_(std::move(b));
-    } else {
-      for (Message& m : b) to_app_(std::move(m));
-    }
-  } else {
-    layers_.back()->up_batch(std::move(b));
-  }
 }
 
 }  // namespace msw

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "net/node_id.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 #include "stack/batch.hpp"
 #include "stack/message.hpp"
@@ -61,54 +60,32 @@ class Services {
   /// Per-node metrics registry, or nullptr when the stack was constructed
   /// without telemetry. Layers attach their counters in start().
   virtual MetricsRegistry* metrics() { return nullptr; }
-  /// Whether the batched data plane is enabled for this process. When
-  /// false, every batch route decays to a per-message loop, reproducing the
-  /// unbatched execution exactly — the equivalence test's control arm.
-  virtual bool batching() const { return true; }
-  /// The scheduler's per-tick allocator, or nullptr when the process is not
-  /// driven by a simulation scheduler (unit tests driving a layer bare).
-  virtual TickArena* tick_arena() { return nullptr; }
 };
 
-/// Wiring handed to each layer: where its output messages go.
+class Layer;
+
+/// Wiring handed to each layer: its neighbours in the chain. A message
+/// passed down or up is a direct call into the neighbouring layer; at the
+/// ends of a chain the neighbour is the chain's boundary, which hands the
+/// message to the chain's owner.
 class LayerContext {
  public:
-  using Route = std::function<void(Message)>;
-  using BatchRoute = std::function<void(MessageBatch)>;
-
   LayerContext() = default;
-  LayerContext(Services* services, Route send_down, Route deliver_up,
-               BatchRoute send_down_batch = nullptr, BatchRoute deliver_up_batch = nullptr)
-      : services_(services),
-        send_down_(std::move(send_down)),
-        deliver_up_(std::move(deliver_up)),
-        send_down_batch_(std::move(send_down_batch)),
-        deliver_up_batch_(std::move(deliver_up_batch)) {}
+  LayerContext(Services* services, Layer* below, Layer* above)
+      : services_(services), below_(below), above_(above) {}
 
   /// Pass a message to the layer below (toward the network).
-  void send_down(Message m) { send_down_(std::move(m)); }
+  inline void send_down(Message m);
   /// Pass a message to the layer above (toward the application).
-  void deliver_up(Message m) { deliver_up_(std::move(m)); }
+  inline void deliver_up(Message m);
 
-  /// Pass a whole run to the layer below. Falls back to the per-message
-  /// route (preserving order) when no batch route is wired or batching is
-  /// disabled for this process.
+  /// Pass a run to the layer below, one message at a time in order.
   void send_down(MessageBatch b) {
-    if (b.empty()) return;
-    if (send_down_batch_ && services_->batching()) {
-      send_down_batch_(std::move(b));
-    } else {
-      for (Message& m : b) send_down_(std::move(m));
-    }
+    for (Message& m : b) send_down(std::move(m));
   }
-  /// Pass a whole run to the layer above; same fallback rule.
+  /// Pass a run to the layer above, one message at a time in order.
   void deliver_up(MessageBatch b) {
-    if (b.empty()) return;
-    if (deliver_up_batch_ && services_->batching()) {
-      deliver_up_batch_(std::move(b));
-    } else {
-      for (Message& m : b) deliver_up_(std::move(m));
-    }
+    for (Message& m : b) deliver_up(std::move(m));
   }
 
   NodeId self() const { return services_->self(); }
@@ -123,19 +100,6 @@ class LayerContext {
   void consume_cpu(Duration d) { services_->consume_cpu(d); }
   Tracer& tracer() { return services_->tracer(); }
   MetricsRegistry* metrics() { return services_->metrics(); }
-  bool batching() const { return services_->batching(); }
-  TickArena* tick_arena() { return services_->tick_arena(); }
-
-  /// Flat scratch for batched header encodes: from the tick arena when one
-  /// is available (recycled across ticks, zero steady-state allocation),
-  /// otherwise a per-context fallback buffer. Either way the reference is
-  /// valid only until the next scratch() call on a path without an arena,
-  /// or until the tick ends with one — never stash it.
-  Bytes& scratch() {
-    if (TickArena* a = services_->tick_arena()) return a->scratch();
-    fallback_scratch_.clear();
-    return fallback_scratch_;
-  }
 
   /// Index of this process in the member list (ring position).
   std::size_t self_index() const;
@@ -148,11 +112,8 @@ class LayerContext {
 
  private:
   Services* services_ = nullptr;
-  Route send_down_;
-  Route deliver_up_;
-  BatchRoute send_down_batch_;
-  BatchRoute deliver_up_batch_;
-  Bytes fallback_scratch_;
+  Layer* below_ = nullptr;
+  Layer* above_ = nullptr;
 };
 
 class Layer {
@@ -171,19 +132,19 @@ class Layer {
   /// A message from the layer below, heading toward the application.
   virtual void up(Message m) { ctx_.deliver_up(std::move(m)); }
 
-  /// A run of messages heading toward the network. The default feeds each
-  /// message through down() in order, so a layer without a batch
-  /// implementation behaves exactly as if the run arrived message by
-  /// message. Overrides must preserve that equivalence: same outputs, same
-  /// order, same CPU charge total, same observable side effects.
-  virtual void down_batch(MessageBatch b);
+  /// A run of messages heading toward the network, fed through down() in
+  /// order. No library code calls these two run hooks; they remain for
+  /// layers built outside the library that still override them
+  /// (perfbench's probes).
+  virtual void down_batch(MessageBatch b) {
+    for (Message& m : b) down(std::move(m));
+  }
 
-  /// A run of messages heading toward the application. The default feeds
-  /// each message through up(), isolating failures per message: a
-  /// DecodeError aborts only that message's traversal (logged and dropped),
-  /// matching the unbatched world where each packet climbs the stack in its
-  /// own handler event and Stack::on_packet drops it at the catch.
-  virtual void up_batch(MessageBatch b);
+  /// A run of messages heading toward the application, fed through up()
+  /// in order.
+  virtual void up_batch(MessageBatch b) {
+    for (Message& m : b) up(std::move(m));
+  }
 
   /// Wire this layer. Called by LayerChain (or tests driving a layer
   /// directly).
@@ -197,18 +158,19 @@ class Layer {
   LayerContext ctx_;
 };
 
-/// An ordered sequence of layers (index 0 = top) wired between a pair of
-/// boundary routes. Presents the same down/up interface as a single layer.
+void LayerContext::send_down(Message m) { below_->down(std::move(m)); }
+void LayerContext::deliver_up(Message m) { above_->up(std::move(m)); }
+
+/// An ordered sequence of layers (index 0 = top) between two boundary
+/// routes. Presents the same down/up interface as a single layer.
 class LayerChain {
  public:
+  using Route = std::function<void(Message)>;
+
   /// `to_network` receives messages leaving the bottom of the chain;
-  /// `to_app` receives messages leaving the top. The batch boundary routes
-  /// are optional: when absent, a batch reaching that boundary is unrolled
-  /// through the per-message route in order.
-  LayerChain(Services& services, std::vector<std::unique_ptr<Layer>> layers,
-             LayerContext::Route to_network, LayerContext::Route to_app,
-             LayerContext::BatchRoute to_network_batch = nullptr,
-             LayerContext::BatchRoute to_app_batch = nullptr);
+  /// `to_app` receives messages leaving the top.
+  LayerChain(Services& services, std::vector<std::unique_ptr<Layer>> layers, Route to_network,
+             Route to_app);
 
   LayerChain(const LayerChain&) = delete;
   LayerChain& operator=(const LayerChain&) = delete;
@@ -216,27 +178,33 @@ class LayerChain {
   void start();
 
   /// Inject a send at the top of the chain.
-  void down_from_top(Message m);
+  void down_from_top(Message m) { top_->down(std::move(m)); }
 
   /// Inject a delivery at the bottom of the chain.
-  void up_from_bottom(Message m);
-
-  /// Inject a run of sends at the top of the chain. Callers gate on
-  /// Services::batching(); the chain itself routes unconditionally.
-  void down_from_top_batch(MessageBatch b);
-
-  /// Inject a run of deliveries at the bottom of the chain.
-  void up_from_bottom_batch(MessageBatch b);
+  void up_from_bottom(Message m) { bottom_->up(std::move(m)); }
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
 
  private:
+  /// A chain boundary: whatever reaches it, from either side, leaves the
+  /// chain through its route.
+  class End final : public Layer {
+   public:
+    explicit End(Route route) : route_(std::move(route)) {}
+    std::string_view name() const override { return "chain-end"; }
+    void down(Message m) override { route_(std::move(m)); }
+    void up(Message m) override { route_(std::move(m)); }
+
+   private:
+    Route route_;
+  };
+
   std::vector<std::unique_ptr<Layer>> layers_;
-  LayerContext::Route to_network_;
-  LayerContext::Route to_app_;
-  LayerContext::BatchRoute to_network_batch_;
-  LayerContext::BatchRoute to_app_batch_;
+  End network_end_;
+  End app_end_;
+  Layer* top_;     // entry for down_from_top: the first layer, or network_end_
+  Layer* bottom_;  // entry for up_from_bottom: the last layer, or app_end_
 };
 
 /// Factory producing one process's layer stack, top first. Invoked once per

@@ -24,14 +24,6 @@ void Message::push_header(FunctionRef<void(Writer&)> fill) {
   data.end_append();
 }
 
-void Message::push_header_raw(std::span<const Byte> header) {
-  Bytes& out = data.begin_append();
-  out.insert(out.end(), header.begin(), header.end());
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(header.size()));
-  data.end_append();
-}
-
 void Message::pop_header(FunctionRef<void(Reader&)> read) {
   const std::span<const Byte> v = data.view();
   if (v.size() < 4) throw DecodeError("pop_header: buffer too small for length word");

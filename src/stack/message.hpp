@@ -51,12 +51,6 @@ struct Message {
   /// copy (copy-on-write).
   void push_header(FunctionRef<void(Writer&)> fill);
 
-  /// Append an already-encoded header verbatim (plus the trailing length
-  /// word). Batched layer paths encode one flat header into arena scratch
-  /// and stamp it onto every message of the run through this, skipping the
-  /// per-message Writer setup.
-  void push_header_raw(std::span<const Byte> header);
-
   /// Pop the tail header: `read` receives a Reader scoped to exactly the
   /// header bytes and must consume all of them. Throws DecodeError on a
   /// malformed buffer. Never copies and never mutates a shared buffer —

@@ -26,9 +26,7 @@ Stack::Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
   }
   chain_ = std::make_unique<LayerChain>(
       *this, std::move(layers), [this](Message m) { to_network(std::move(m)); },
-      [this](Message m) { to_app(std::move(m)); },
-      [this](MessageBatch b) { to_network_batch(std::move(b)); },
-      [this](MessageBatch b) { to_app_batch(std::move(b)); });
+      [this](Message m) { to_app(std::move(m)); });
   transport_.set_handler(self_, [this](Packet p) { on_packet(std::move(p)); });
   transport_.set_run_handler(
       self_, [this](NodeId src, std::span<const Payload> run) { on_packet_run(src, run); });
@@ -71,50 +69,29 @@ void Stack::send(Bytes body) {
 }
 
 void Stack::send_batch(std::vector<Bytes> bodies) {
-  if (!batching_ || bodies.size() == 1) {
-    for (Bytes& body : bodies) send(std::move(body));
-    return;
-  }
-  MessageBatch batch;
-  batch.reserve(bodies.size());
-  for (Bytes& body : bodies) {
-    const MsgId id{self().v, next_seq_++, MsgId::Kind::kData};
-    tracer_->instant(n_app_send_, TelemetryTrack::kData, id.seq);
-    if (capture_ != nullptr) capture_->record_send(self(), id, body, now());
-    Message m = Message::group(std::move(body));
-    AppHeader::push(m, AppHeader{AppHeader::Kind::kData, id.sender, id.seq});
-    batch.push_back(std::move(m));
-  }
-  chain_->down_from_top_batch(std::move(batch));
+  const bool outermost = !collecting_;
+  collecting_ = true;
+  for (Bytes& body : bodies) send(std::move(body));
+  if (!outermost) return;
+  collecting_ = false;
+  flush_run();
 }
 
 void Stack::to_network(Message m) {
   if (m.is_p2p()) {
+    flush_run();
     transport_.send(self_, *m.point_to, std::move(m.data));
+  } else if (collecting_) {
+    run_.push_back(std::move(m.data));
   } else {
     transport_.multicast(self_, members_, std::move(m.data));
   }
 }
 
-void Stack::to_network_batch(MessageBatch b) {
-  // Consecutive group messages leave as one batched scatter; point-to-point
-  // messages are sent individually in place, preserving emission order.
-  std::vector<Payload>& group_run = payload_scratch_;
-  group_run.clear();
-  auto flush = [&] {
-    if (group_run.empty()) return;
-    transport_.multicast_run(self_, members_, group_run);
-    group_run.clear();
-  };
-  for (Message& m : b) {
-    if (m.is_p2p()) {
-      flush();
-      transport_.send(self_, *m.point_to, std::move(m.data));
-    } else {
-      group_run.push_back(std::move(m.data));
-    }
-  }
-  flush();
+void Stack::flush_run() {
+  if (run_.empty()) return;
+  transport_.multicast_run(self_, members_, run_);
+  run_.clear();
 }
 
 void Stack::to_app(Message m) {
@@ -137,36 +114,10 @@ void Stack::to_app(Message m) {
   if (on_deliver_ && (id.seq & deliver_mask_) == 0) on_deliver_(id, m.data.view());
 }
 
-void Stack::to_app_batch(MessageBatch b) {
-  // App delivery is inherently per-message (capture, counters, callback);
-  // the batch only saved the trip through the layers.
-  for (Message& m : b) to_app(std::move(m));
-}
-
 void Stack::on_packet_run(NodeId src, std::span<const Payload> run) {
-  if (!batching_) {
-    // The sender batched but this process opted out: unroll the run in
-    // order, exactly as if the copies had arrived back to back.
-    for (const Payload& p : run) on_packet(Packet{src, p});
-    return;
-  }
-  MessageBatch batch;
-  batch.reserve(run.size());
-  for (const Payload& p : run) {
-    Message m;
-    m.data = p;
-    m.wire_src = src;
-    batch.push_back(std::move(m));
-  }
-  try {
-    chain_->up_from_bottom_batch(std::move(batch));
-  } catch (const DecodeError& e) {
-    // Layers isolate malformed messages per message (Layer::up_batch); this
-    // is the backstop for an empty chain or a batch-unaware throw.
-    MSW_LOG(kDebug, "stack", now())
-        << to_string(self()) << " dropped malformed packet run from " << to_string(src) << ": "
-        << e.what();
-  }
+  // Each packet climbs the stack on its own, exactly as if the copies had
+  // arrived back to back: a malformed one is dropped alone.
+  for (const Payload& p : run) on_packet(Packet{src, p});
 }
 
 void Stack::on_packet(Packet p) {

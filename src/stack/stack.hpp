@@ -50,16 +50,13 @@ class Stack : public Services {
   /// Multicast an application payload to the group.
   void send(Bytes body);
 
-  /// Multicast a run of application payloads submitted at one instant. With
-  /// batching enabled the run rides the batched data plane — one layer
-  /// dispatch per layer and one network scatter for the whole run; with it
-  /// disabled this is exactly a loop over send().
+  /// Multicast a run of application payloads submitted at one instant: a
+  /// loop over send(), except that the group multicasts the run causes
+  /// leave as one Transport::multicast_run when the outermost call returns
+  /// (the simulator delivers such a run with one event per destination). A
+  /// point-to-point send flushes the multicasts collected before it, so
+  /// frames leave in the order the layers emitted them.
   void send_batch(std::vector<Bytes> bodies);
-
-  /// Toggle the batched data plane for this process (default on). Turning
-  /// it off makes every batch route decay to the per-message path — the
-  /// control arm of the batched-vs-unbatched equivalence test.
-  void set_batching(bool on) { batching_ = on; }
 
   /// Optional app-delivery hook. `sample_mask` gates it inline: the hook
   /// fires only for seqs with (seq & sample_mask) == 0, so a sampling
@@ -85,8 +82,6 @@ class Stack : public Services {
   void consume_cpu(Duration d) override { transport_.consume_cpu(self_, d); }
   Tracer& tracer() override { return *tracer_; }
   MetricsRegistry* metrics() override { return metrics_; }
-  bool batching() const override { return batching_; }
-  TickArena* tick_arena() override { return transport_.tick_arena(); }
 
   LayerChain& chain() { return *chain_; }
 
@@ -94,9 +89,9 @@ class Stack : public Services {
   void to_network(Message m);
   void to_app(Message m);
   void on_packet(Packet p);
-  void to_network_batch(MessageBatch b);
-  void to_app_batch(MessageBatch b);
   void on_packet_run(NodeId src, std::span<const Payload> run);
+  /// Hand the group multicasts collected by send_batch to the transport.
+  void flush_run();
 
   Transport& transport_;
   NodeId self_;
@@ -116,8 +111,8 @@ class Stack : public Services {
   std::uint64_t deliver_mask_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
-  bool batching_ = true;
-  std::vector<Payload> payload_scratch_;  // reused by to_network_batch
+  bool collecting_ = false;  // inside send_batch: group multicasts go to run_
+  std::vector<Payload> run_;
 };
 
 }  // namespace msw

@@ -37,48 +37,6 @@ void MultiplexLayer::up(Message m) {
   it->second(std::move(m));
 }
 
-void MultiplexLayer::down_batch(MessageBatch b) {
-  // Every message gets the same constant tag: encode it once, stamp K times.
-  Byte tag[2];
-  Bytes tmp;
-  Writer w(tmp);
-  w.u16(kDefaultChannel);
-  tag[0] = tmp[0];
-  tag[1] = tmp[1];
-  for (Message& m : b) m.push_header_raw(std::span<const Byte>(tag, 2));
-  ctx().send_down(std::move(b));
-}
-
-void MultiplexLayer::up_batch(MessageBatch b) {
-  // Contiguous default-channel runs continue upward as one batch;
-  // side-channel and malformed messages peel off in place.
-  MessageBatch out;
-  for (Message& m : b) {
-    std::uint16_t channel = 0;
-    try {
-      channel = Mux::pop(m);
-    } catch (const DecodeError&) {
-      ++dropped_;
-      continue;
-    }
-    if (channel == kDefaultChannel) {
-      out.push_back(std::move(m));
-      continue;
-    }
-    auto it = handlers_.find(channel);
-    if (it == handlers_.end()) {
-      ++dropped_;
-      continue;
-    }
-    // Side-channel handlers may send or mutate switch state; flush queued
-    // deliveries first so their effects interleave exactly as per-message.
-    ctx().deliver_up(std::move(out));
-    out = MessageBatch{};
-    it->second(std::move(m));
-  }
-  ctx().deliver_up(std::move(out));
-}
-
 void MultiplexLayer::send_on(std::uint16_t channel, Message m) {
   Mux::push(m, channel);
   ctx().send_down(std::move(m));

@@ -32,8 +32,6 @@ class MultiplexLayer : public Layer {
 
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   /// Send on a side channel (bypasses the layers above).
   void send_on(std::uint16_t channel, Message m);

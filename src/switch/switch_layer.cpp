@@ -66,28 +66,14 @@ void SwitchLayer::start() {
         Mux::push(m, kChanProtoA);
         ctx().send_down(std::move(m));
       },
-      [this](Message m) { on_subprotocol_deliver(0, std::move(m)); },
-      [this](MessageBatch b) {
-        for (Message& m : b) Mux::push(m, kChanProtoA);
-        ctx().send_down(std::move(b));
-      },
-      [this](MessageBatch b) {
-        for (Message& m : b) on_subprotocol_deliver(0, std::move(m));
-      });
+      [this](Message m) { on_subprotocol_deliver(0, std::move(m)); });
   chain_b_ = std::make_unique<LayerChain>(
       *services, std::move(layers_b_),
       [this](Message m) {
         Mux::push(m, kChanProtoB);
         ctx().send_down(std::move(m));
       },
-      [this](Message m) { on_subprotocol_deliver(1, std::move(m)); },
-      [this](MessageBatch b) {
-        for (Message& m : b) Mux::push(m, kChanProtoB);
-        ctx().send_down(std::move(b));
-      },
-      [this](MessageBatch b) {
-        for (Message& m : b) on_subprotocol_deliver(1, std::move(m));
-      });
+      [this](Message m) { on_subprotocol_deliver(1, std::move(m)); });
   chain_a_->start();
   chain_b_->start();
 
@@ -165,72 +151,6 @@ void SwitchLayer::down(Message m) {
     w.u64(seq);
   });
   chain(static_cast<int>(target_epoch % 2)).down_from_top(std::move(m));
-}
-
-void SwitchLayer::down_batch(MessageBatch b) {
-  for (const Message& m : b) {
-    if (m.is_p2p()) {
-      Layer::down_batch(std::move(b));
-      return;
-    }
-  }
-  // prepared_ only flips on token processing, never mid-batch, so the whole
-  // batch targets one epoch and one sub-protocol chain. Sends straddling a
-  // PREPARE necessarily arrive in different batches (the SP epoch boundary
-  // is a batch split by construction).
-  const std::uint64_t target_epoch = prepared_ ? epoch_ + 1 : epoch_;
-  const std::uint32_t sender = ctx().self().v;
-  constexpr std::size_t kHdr = 1 + 8 + 4 + 8;
-  Bytes& scratch = ctx().scratch();
-  Writer w(scratch);
-  w.reserve(kHdr * b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    w.u8(static_cast<std::uint8_t>(DataType::kData));
-    w.u64(target_epoch);
-    w.u32(sender);
-    w.u64(prepared_ ? sent_next_epoch_++ : sent_this_epoch_++);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i].push_header_raw(std::span<const Byte>(scratch.data() + i * kHdr, kHdr));
-  }
-  chain(static_cast<int>(target_epoch % 2)).down_from_top_batch(std::move(b));
-}
-
-void SwitchLayer::up_batch(MessageBatch b) {
-  // Forward consecutive same-channel runs as sub-batches; control frames
-  // flush the pending run first so wire-visible side effects (acks, token
-  // forwards, buffered releases) keep their unbatched ordering.
-  MessageBatch run;
-  std::uint16_t run_chan = 0;
-  auto flush = [&] {
-    if (run.empty()) return;
-    if (run_chan == kChanProtoA) chain_a_->up_from_bottom_batch(std::move(run));
-    else chain_b_->up_from_bottom_batch(std::move(run));
-    run = MessageBatch{};
-  };
-  for (Message& m : b) {
-    std::uint16_t channel = 0;
-    try {
-      channel = Mux::pop(m);
-    } catch (const DecodeError&) {
-      continue;
-    }
-    switch (channel) {
-      case kChanProtoA:
-      case kChanProtoB:
-        if (!run.empty() && run_chan != channel) flush();
-        run_chan = channel;
-        run.push_back(std::move(m));
-        break;
-      case kChanControl:
-        flush();
-        on_control(std::move(m));
-        break;
-      default:
-        break;
-    }
-  }
-  flush();
 }
 
 void SwitchLayer::up(Message m) {

@@ -106,8 +106,6 @@ class SwitchLayer : public Layer {
   void start() override;
   void down(Message m) override;
   void up(Message m) override;
-  void down_batch(MessageBatch b) override;
-  void up_batch(MessageBatch b) override;
 
   /// Ask this member to initiate a switch at the next NORMAL token (or when
   /// the pacing hold of a NORMAL token it holds ends), regardless of the

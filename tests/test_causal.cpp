@@ -148,11 +148,10 @@ TEST(CausalLayer, CausalUnderLoss) {
 TEST(CausalLayer, VectorClockWithHugeCountIsDropped) {
   // A data frame (origin, vector-clock length) claiming 2^32 - 1 eight-byte
   // entries and carrying none, under the reliable layer's pass-through
-  // byte: once through the batched receive path (member 1) and once through
-  // the per-message one (member 2). Reserving for the claim would abort the
-  // process; the frames are dropped and causal delivery goes on.
+  // byte, sent point-to-point to members 1 and 2. Reserving for the claim
+  // would abort the process; the frames are dropped and causal delivery
+  // goes on.
   GroupHarness h(3, causal_stack());
-  h.group.stack(2).set_batching(false);
   for (const std::size_t dst : {1u, 2u}) {
     Message m = Message::group({});
     m.push_header([](Writer& w) {

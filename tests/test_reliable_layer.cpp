@@ -246,15 +246,13 @@ TEST_F(ReliableTest, RangeEncodingBeatsLegacyOnWideGaps) {
 }
 
 TEST_F(ReliableTest, FirstBatchAfterIdlePeriodSurvivesLossBatched) {
-  // The post-idle eviction re-admission fix, exercised through the batched
-  // data plane: after an idle period every healthy member is provisionally
-  // evicted; the first *batched* multicast afterwards must re-admit them
-  // before GC can collect the burst's copies, exactly like the scalar
-  // send path.
+  // The post-idle eviction re-admission fix, exercised through send_batch:
+  // after an idle period every healthy member is provisionally evicted; the
+  // first run of multicasts afterwards must re-admit them before GC can
+  // collect the burst's copies, exactly like a single send.
   ReliableConfig cfg;
   cfg.eviction_horizon = 2 * kSecond;
   GroupHarness h(3, reliable_only(cfg));
-  h.group.set_batching(true);
   h.sim.run_for(5 * kSecond);  // idle well past the horizon
   EXPECT_GT(g_layers[0]->stats().members_evicted, 0u);
   h.net.set_link_up(h.group.node(0), h.group.node(1), false);
@@ -269,7 +267,7 @@ TEST_F(ReliableTest, FirstBatchAfterIdlePeriodSurvivesLossBatched) {
 }
 
 TEST_F(ReliableTest, OversizedAckVectorSplitsAcrossFramesBatched) {
-  // The ack-vector frame split under the batched path: with the per-frame
+  // The ack-vector frame split with send_batch traffic: with the per-frame
   // entry cap lowered below the origin count, one ack tick must emit
   // several frames whose union is the same vector — receivers merge by
   // monotone max, so delivery and GC behave identically to the uncapped
@@ -281,7 +279,6 @@ TEST_F(ReliableTest, OversizedAckVectorSplitsAcrossFramesBatched) {
     cfg.ack_interval = 50 * kMillisecond;
     cfg.max_ack_entries_per_frame = cap;
     GroupHarness h(6, reliable_only(cfg), testing::lossy_net(0.1), /*seed=*/31);
-    h.group.set_batching(true);
     for (std::size_t s = 0; s < 6; ++s) {
       std::vector<Bytes> burst;
       for (int i = 0; i < 5; ++i) burst.push_back(to_bytes("s" + std::to_string(i)));

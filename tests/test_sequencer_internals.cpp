@@ -131,11 +131,10 @@ TEST_F(SequencerInternals, FifoPerOriginPreservedThroughSequencing) {
 
 TEST_F(SequencerInternals, GapNackWithHugeCountIsDropped) {
   // A gap NACK (kGapNack: count) claiming 2^32 - 1 eight-byte entries and
-  // carrying none, once through the batched receive path (member 1) and
-  // once through the per-message one (member 2). Reserving for the claim
-  // would abort the process; the frames are dropped and ordering goes on.
+  // carrying none, sent point-to-point to members 1 and 2. Reserving for
+  // the claim would abort the process; the frames are dropped and ordering
+  // goes on.
   GroupHarness h(3, seq_stack());
-  h.group.stack(2).set_batching(false);
   for (const std::size_t dst : {1u, 2u}) {
     Message nack = Message::group({});
     nack.push_header([](Writer& w) {
