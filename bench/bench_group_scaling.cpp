@@ -9,10 +9,9 @@
 // regardless of n (its problem is senders, not members).
 //
 // The second sweep is the control-plane scaling experiment: peer-assisted
-// reliable multicast at n in {16, 64, 128} with 1% per-copy loss, run
-// twice — once with the range/varint control encoding and once with the
-// legacy per-sequence frames — reporting NACK and ack-vector bytes per
-// delivered message. `--json F` writes the rows as BENCH JSON for CI;
+// reliable multicast at n in {16, 64, 128} with 1% per-copy loss, reporting
+// NACK and ack-vector bytes per delivered message of the range/varint
+// control encoding. `--json F` writes the rows as BENCH JSON for CI;
 // `--max-n N` truncates the sweep (CI smoke runs it at 64).
 #include <algorithm>
 #include <cstdio>
@@ -47,11 +46,10 @@ double run_one(const LayerFactory& factory, std::size_t members) {
 /// One reliable control-plane measurement: n members, 1% loss, 2 senders.
 struct ControlRow {
   std::size_t members = 0;
-  bool legacy = false;
   std::uint64_t delivered = 0;       // app deliveries across all members
   std::uint64_t missing = 0;         // 0 = ran to completion
   std::uint64_t nack_bytes = 0;      // summed over every member's layer
-  std::uint64_t nack_entries = 0;    // ranges (new) or seqs (legacy)
+  std::uint64_t nack_entries = 0;    // missing ranges requested
   std::uint64_t ack_bytes = 0;
   std::uint64_t retransmissions = 0;
   double nack_bytes_per_delivery() const {
@@ -62,7 +60,7 @@ struct ControlRow {
   }
 };
 
-ControlRow run_control(std::size_t members, bool legacy) {
+ControlRow run_control(std::size_t members) {
   Simulation sim(kSeed);
   // Protocol-logic network: exact 1 ms hops, no CPU/bandwidth modelling —
   // the measured quantity is control bytes, not queueing — plus 1% loss so
@@ -81,7 +79,6 @@ ControlRow run_control(std::size_t members, bool legacy) {
   std::vector<ReliableLayer*> layers;
   ReliableConfig rcfg;
   rcfg.peer_assist = true;
-  rcfg.legacy_control = legacy;
   const LayerFactory factory = [&layers, rcfg](NodeId, const std::vector<NodeId>&) {
     auto l = std::make_unique<ReliableLayer>(rcfg);
     layers.push_back(l.get());
@@ -104,7 +101,6 @@ ControlRow run_control(std::size_t members, bool legacy) {
 
   ControlRow row;
   row.members = members;
-  row.legacy = legacy;
   row.delivered = res.delivered;
   row.missing = res.missing_deliveries;
   for (const ReliableLayer* l : layers) {
@@ -133,7 +129,7 @@ void write_json(const std::string& path, const std::vector<ControlRow>& rows) {
                   "\"missing\": %llu, \"nack_bytes\": %llu, \"nack_entries\": %llu, "
                   "\"ack_bytes\": %llu, \"retransmissions\": %llu, "
                   "\"nack_bytes_per_delivery\": %.4f, \"ack_bytes_per_delivery\": %.4f}%s\n",
-                  r.members, r.legacy ? "legacy" : "range",
+                  r.members, "range",
                   static_cast<unsigned long long>(r.delivered),
                   static_cast<unsigned long long>(r.missing),
                   static_cast<unsigned long long>(r.nack_bytes),
@@ -176,38 +172,41 @@ int run(std::size_t max_n, const std::string& json_out, const TelemetryOpts& tel
         tok_16 / tok_2, seq_16 / seq_2);
   }
 
-  title("Reliable control plane at scale: peer assist, 1% loss, range vs legacy frames");
+  title("Reliable control plane at scale: peer assist, 1% loss, range frames");
   std::printf("%-8s %-8s %10s %8s %12s %12s %12s %8s\n", "members", "encoding", "delivered",
               "missing", "nack B", "nack B/msg", "ack B/msg", "retx");
   rule(84);
   std::vector<ControlRow> rows;
-  bool range_wins = true;
+  bool ok = true;
   for (std::size_t n : {std::size_t{16}, std::size_t{64}, std::size_t{128}}) {
     if (n > max_n) continue;
-    ControlRow range_row, legacy_row;
-    for (const bool legacy : {false, true}) {
-      const ControlRow row = run_control(n, legacy);
-      (legacy ? legacy_row : range_row) = row;
-      rows.push_back(row);
-      std::printf("%-8zu %-8s %10llu %8llu %12llu %12.3f %12.3f %8llu\n", n,
-                  legacy ? "legacy" : "range",
-                  static_cast<unsigned long long>(row.delivered),
-                  static_cast<unsigned long long>(row.missing),
-                  static_cast<unsigned long long>(row.nack_bytes),
-                  row.nack_bytes_per_delivery(), row.ack_bytes_per_delivery(),
-                  static_cast<unsigned long long>(row.retransmissions));
-    }
-    if (range_row.missing != 0 || legacy_row.missing != 0) {
+    const ControlRow row = run_control(n);
+    rows.push_back(row);
+    std::printf("%-8zu %-8s %10llu %8llu %12llu %12.3f %12.3f %8llu\n", n, "range",
+                static_cast<unsigned long long>(row.delivered),
+                static_cast<unsigned long long>(row.missing),
+                static_cast<unsigned long long>(row.nack_bytes), row.nack_bytes_per_delivery(),
+                row.ack_bytes_per_delivery(), static_cast<unsigned long long>(row.retransmissions));
+    if (row.missing != 0) {
       std::printf("WARNING: n=%zu did not run to completion\n", n);
-      range_wins = false;
-    }
-    if (range_row.nack_bytes_per_delivery() >= legacy_row.nack_bytes_per_delivery()) {
-      range_wins = false;
+      ok = false;
     }
   }
   rule(84);
-  std::printf("range encoding %s the legacy per-sequence frames on NACK bytes/delivery.\n",
-              range_wins ? "beats" : "DID NOT beat");
+  if (rows.size() >= 2) {
+    // Claim: the delta ack vectors keep the ack plane below O(n) bytes per
+    // delivery. A full vector per member per tick (the retired fixed-width
+    // format) grew by about as much as n did: 4.07x for 4x n.
+    const ControlRow& lo = rows.front();
+    const ControlRow& hi = rows.back();
+    const double n_growth = static_cast<double>(hi.members) / static_cast<double>(lo.members);
+    const double ack_growth = hi.ack_bytes_per_delivery() / lo.ack_bytes_per_delivery();
+    const bool sublinear = ack_growth < n_growth;
+    std::printf("ack B/msg grew %.2fx for %.0fx members (n=%zu to %zu): %s than n.\n",
+                ack_growth, n_growth, lo.members, hi.members,
+                sublinear ? "slower" : "NOT slower");
+    ok = ok && sublinear;
+  }
 
   if (!json_out.empty()) write_json(json_out, rows);
 
@@ -226,7 +225,7 @@ int run(std::size_t max_n, const std::string& json_out, const TelemetryOpts& tel
     run_workload(sim, group, cfg);
     export_telemetry(sim, telem);
   }
-  return range_wins ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -41,7 +41,6 @@ struct IterationPlan {
   bool adaptive_oracle = false;
   bool capture_telemetry = false;
   bool attach_monitors = false;
-  std::size_t telemetry_ring = 4096;
   /// When non-empty, execute() also renders a flight record with this
   /// failure reason (the shrinker's final capture run).
   std::string flight_reason;
@@ -86,7 +85,6 @@ IterationPlan make_plan(std::uint64_t seed, const FuzzConfig& cfg) {
   plan.adaptive_oracle = cfg.adaptive_oracle;
   plan.capture_telemetry = cfg.capture_telemetry;
   plan.attach_monitors = cfg.attach_monitors;
-  plan.telemetry_ring = cfg.telemetry_ring;
   return plan;
 }
 
@@ -116,7 +114,7 @@ struct RunObservation {
 RunObservation execute(std::uint64_t seed, const IterationPlan& plan) {
   Simulation sim(mix64(seed ^ 0xf00dULL));
   if (plan.capture_telemetry || !plan.flight_reason.empty()) {
-    sim.enable_tracing(plan.telemetry_ring);
+    sim.enable_tracing();
   }
   Network net(sim.scheduler(), sim.fork_rng(), plan.net);
 

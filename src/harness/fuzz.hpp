@@ -44,12 +44,11 @@ struct FuzzConfig {
   bool inject_flush_bug = false;
   /// Maximum simulation re-runs the shrinker may spend per failure.
   std::size_t shrink_budget = 200;
-  /// Arm per-node telemetry rings during execution and export the trace /
-  /// metrics documents on every iteration (FuzzIteration string fields).
-  /// Failures capture a flight record regardless of this flag.
+  /// Arm per-node telemetry rings (of the hub's default capacity) during
+  /// execution and export the trace / metrics documents on every iteration
+  /// (FuzzIteration string fields). Failures capture a flight record
+  /// regardless of this flag.
   bool capture_telemetry = false;
-  /// Ring capacity (events per node) when telemetry is armed.
-  std::size_t telemetry_ring = 4096;
   /// Attach the streaming property monitors (src/monitor/) alongside the
   /// buffered trace oracle and record their independent verdict in
   /// FuzzIteration::monitor_ok / monitor_reason — the oracle-parity path.

@@ -23,6 +23,14 @@
 namespace msw {
 namespace {
 
+/// Gap between send batches (round-robin over senders).
+constexpr Duration kSendInterval = 1 * kMillisecond;
+/// Flight-recorder ring capacity per node (rings stay armed so a violation
+/// can dump the tail of the run).
+constexpr std::size_t kRingCapacity = 1024;
+/// Extra sim time allowed for drain/convergence after the last send.
+constexpr Duration kDrainLimit = 120 * kSecond;
+
 /// Peak resident set from /proc/self/status (kB); 0 off-Linux.
 std::size_t read_vm_hwm_kb() {
   std::ifstream in("/proc/self/status");
@@ -93,7 +101,7 @@ SoakResult run_soak_once(const SoakConfig& cfg,
   res.cell_budget = soak_cell_budget(cfg.members, cfg.window_cap, causal);
 
   Simulation sim(cfg.seed);
-  sim.enable_tracing(cfg.ring_capacity);  // flight-recorder tail per node
+  sim.enable_tracing(kRingCapacity);  // flight-recorder tail per node
 
   NetConfig nc;
   nc.base_latency = 1 * kMillisecond;
@@ -129,7 +137,7 @@ SoakResult run_soak_once(const SoakConfig& cfg,
   const std::uint64_t total_batches =
       (cfg.messages + cfg.batch - 1) / std::max<std::size_t>(cfg.batch, 1);
   const Time send_start = 100 * kMillisecond;
-  const Time activity_end = send_start + static_cast<Time>(total_batches) * cfg.send_interval;
+  const Time activity_end = send_start + static_cast<Time>(total_batches) * kSendInterval;
 
   Rng churn_rng = sim.fork_rng();
   const FaultSchedule schedule = make_churn_schedule(churn_rng, cfg, activity_end, &res.crashes);
@@ -142,7 +150,6 @@ SoakResult run_soak_once(const SoakConfig& cfg,
   struct Pump {
     Group* group;
     Scheduler* sched;
-    Duration interval;
     std::size_t batch;
     std::uint64_t remaining;
     std::size_t next_sender = 0;
@@ -155,11 +162,10 @@ SoakResult run_soak_once(const SoakConfig& cfg,
       group->send_batch(next_sender, std::move(bodies));
       remaining -= k;
       next_sender = (next_sender + 1) % group->size();
-      if (remaining > 0) sched->at(sched->now() + interval, [this] { tick(); });
+      if (remaining > 0) sched->at(sched->now() + kSendInterval, [this] { tick(); });
     }
   };
-  Pump pump{gp,        &sim.scheduler(),          cfg.send_interval,
-            cfg.batch, cfg.messages,              0,
+  Pump pump{gp, &sim.scheduler(), cfg.batch, cfg.messages, 0,
             Bytes(cfg.payload_bytes, Byte{0x5a})};
   sim.scheduler().at(send_start, [&pump] { pump.tick(); });
 
@@ -211,7 +217,7 @@ SoakResult run_soak_once(const SoakConfig& cfg,
   // Drain to quiescence: converged epochs, empty SP buffers, delivery count
   // stable for two consecutive chunks.
   if (monitors.ok() && !aborted) {
-    const Time drain_end = sim.now() + cfg.drain_limit;
+    const Time drain_end = sim.now() + kDrainLimit;
     std::size_t stable = 0;
     std::uint64_t last_delivered = group.total_delivered();
     while (sim.now() < drain_end && stable < 2 && chunk()) {

@@ -37,10 +37,9 @@ struct SoakConfig {
   /// Total application sends across the run. In wall-clock budget mode
   /// (budget_seconds > 0) this is the size of ONE round instead.
   std::uint64_t messages = 1'000'000;
-  /// Messages per Stack::send_batch call.
+  /// Messages per Stack::send_batch call, one call per millisecond
+  /// (round-robin over senders).
   std::size_t batch = 8;
-  /// Gap between send batches (round-robin over senders).
-  Duration send_interval = 1 * kMillisecond;
   std::size_t payload_bytes = 32;
 
   /// Steady random loss on every link.
@@ -58,13 +57,6 @@ struct SoakConfig {
   std::uint64_t sample_period = 1;
   std::size_t window_cap = 1 << 15;
   Duration stall_window = 30 * kSecond;
-
-  /// Flight-recorder ring capacity per node (rings stay armed so a
-  /// violation can dump the tail of the run).
-  std::size_t ring_capacity = 1024;
-
-  /// Extra sim time allowed for drain/convergence after the last send.
-  Duration drain_limit = 120 * kSecond;
 
   /// Wall-clock budget mode: when > 0, the soak runs complete rounds of
   /// `messages` sends (each a fresh simulation with a derived seed) until

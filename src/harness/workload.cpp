@@ -15,10 +15,8 @@ WorkloadResult run_workload(Simulation& sim, Group& group, const WorkloadConfig&
   Rng rng = sim.fork_rng();
   std::uint64_t sent = 0;
   for (std::size_t s = 0; s < cfg.senders && s < group.size(); ++s) {
-    const Duration phase =
-        cfg.jitter_phase ? static_cast<Duration>(rng.below(static_cast<std::uint64_t>(interval)))
-                         : static_cast<Duration>(s);
-    Time t = start + phase;
+    // A random phase per sender, so senders do not fire in lockstep.
+    Time t = start + static_cast<Duration>(rng.below(static_cast<std::uint64_t>(interval)));
     while (t < end_sends) {
       sched.at(t, [&group, s, &sent, body_size = cfg.body_size] {
         Bytes body(body_size, static_cast<Byte>('a' + s % 26));

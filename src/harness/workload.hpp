@@ -27,8 +27,6 @@ struct WorkloadConfig {
   Duration drain = 2 * kSecond;
   /// Application payload size in bytes.
   std::size_t body_size = 64;
-  /// Randomize each sender's phase so senders do not fire in lockstep.
-  bool jitter_phase = true;
   /// Poisson arrivals (exponential inter-send gaps at the same mean rate)
   /// instead of a fixed period. Application traffic is bursty; the paper's
   /// queueing behaviour at the sequencer assumes it.

@@ -194,18 +194,28 @@ std::optional<FaultSchedule> FaultSchedule::parse(std::string_view s) {
 
 FaultSchedule generate_fault_schedule(Rng& rng, std::size_t n_nodes, Time horizon,
                                       const FaultGenOptions& opts) {
+  // Bounds of everything but crashes: at most this many of each event
+  // kind, duplication/reordering probabilities drawn below these, and
+  // down/partition/burst windows of 10-500 ms.
+  constexpr std::size_t kMaxLinkCuts = 2;
+  constexpr std::size_t kMaxPartitions = 1;
+  constexpr std::size_t kMaxJitterBursts = 2;
+  constexpr double kDupProbMax = 0.08;
+  constexpr double kReorderProbMax = 0.15;
+  constexpr Duration kMinOutage = 10 * kMillisecond;
+  constexpr Duration kMaxOutage = 500 * kMillisecond;
+
   assert(n_nodes >= 2 && n_nodes <= 64);
   FaultSchedule s;
-  const Duration min_outage = 10 * kMillisecond;
   const auto outage_window = [&](Time& begin, Time& end) {
     const Duration len =
-        min_outage + static_cast<Duration>(
-                         rng.below(static_cast<std::uint64_t>(opts.max_outage - min_outage) + 1));
+        kMinOutage +
+        static_cast<Duration>(rng.below(static_cast<std::uint64_t>(kMaxOutage - kMinOutage) + 1));
     begin = static_cast<Time>(rng.below(static_cast<std::uint64_t>(horizon - len)));
     end = begin + len;
   };
 
-  const std::size_t cuts = rng.index(opts.max_link_cuts + 1);
+  const std::size_t cuts = rng.index(kMaxLinkCuts + 1);
   for (std::size_t i = 0; i < cuts; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.index(n_nodes));
     auto b = static_cast<std::uint32_t>(rng.index(n_nodes - 1));
@@ -216,7 +226,7 @@ FaultSchedule generate_fault_schedule(Rng& rng, std::size_t n_nodes, Time horizo
     s.events.push_back({FaultEvent::Kind::kLinkUp, end, a, b, 0, 0, 0});
   }
 
-  const std::size_t parts = rng.index(opts.max_partitions + 1);
+  const std::size_t parts = rng.index(kMaxPartitions + 1);
   for (std::size_t i = 0; i < parts; ++i) {
     // Isolate a strict, non-empty minority side.
     const std::size_t k = 1 + rng.index(std::max<std::size_t>(n_nodes / 2, 1));
@@ -239,7 +249,7 @@ FaultSchedule generate_fault_schedule(Rng& rng, std::size_t n_nodes, Time horizo
     s.events.push_back({FaultEvent::Kind::kRestart, end, node, 0, 0, 0, 0});
   }
 
-  const std::size_t bursts = rng.index(opts.max_jitter_bursts + 1);
+  const std::size_t bursts = rng.index(kMaxJitterBursts + 1);
   for (std::size_t i = 0; i < bursts; ++i) {
     Time begin = 0, end = 0;
     outage_window(begin, end);
@@ -249,8 +259,8 @@ FaultSchedule generate_fault_schedule(Rng& rng, std::size_t n_nodes, Time horizo
         {FaultEvent::Kind::kJitterBurst, begin, 0, 0, 0, end - begin, magnitude});
   }
 
-  if (rng.chance(0.5)) s.dup_prob = rng.uniform() * opts.dup_prob_max;
-  if (rng.chance(0.5)) s.reorder_prob = rng.uniform() * opts.reorder_prob_max;
+  if (rng.chance(0.5)) s.dup_prob = rng.uniform() * kDupProbMax;
+  if (rng.chance(0.5)) s.reorder_prob = rng.uniform() * kReorderProbMax;
 
   std::stable_sort(s.events.begin(), s.events.end(),
                    [](const FaultEvent& x, const FaultEvent& y) { return x.at < y.at; });

@@ -78,13 +78,7 @@ struct FaultSchedule {
 /// restart) strictly before `horizon`, so a run given enough drain time
 /// afterwards faces a healed network.
 struct FaultGenOptions {
-  std::size_t max_link_cuts = 2;
-  std::size_t max_partitions = 1;
   std::size_t max_crashes = 0;  // off by default: opt in (fuzz_switch --crash)
-  std::size_t max_jitter_bursts = 2;
-  double dup_prob_max = 0.08;
-  double reorder_prob_max = 0.15;
-  Duration max_outage = 500 * kMillisecond;  // longest down/partition window
 };
 
 FaultSchedule generate_fault_schedule(Rng& rng, std::size_t n_nodes, Time horizon,

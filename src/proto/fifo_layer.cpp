@@ -39,9 +39,15 @@ void FifoLayer::up(Message m) {
   std::uint64_t seq = 0;
   m.pop_header([&](Reader& r) {
     type = static_cast<Type>(r.u8());
-    if (type == Type::kData) {
-      origin = r.u32();
-      seq = r.u64();
+    switch (type) {
+      case Type::kData:
+        origin = r.u32();
+        seq = r.u64();
+        break;
+      case Type::kPass:
+        break;
+      default:
+        throw DecodeError("unknown fifo frame type");
     }
   });
   if (type == Type::kPass) {

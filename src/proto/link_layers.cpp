@@ -7,6 +7,9 @@ namespace {
 
 enum class Type : std::uint8_t { kData = 0, kAck = 1, kPass = 2, kLoop = 3 };
 
+/// Retransmission timeout of both protocols.
+constexpr Duration kRto = 10 * kMillisecond;
+
 Payload make_data_frame(Message&& m, std::uint64_t seq) {
   m.push_header([&](Writer& w) {
     w.u8(static_cast<std::uint8_t>(Type::kData));
@@ -68,7 +71,7 @@ void StopAndWaitLayer::send_front() {
 }
 
 void StopAndWaitLayer::arm_timer(std::uint64_t seq) {
-  ctx().set_timer(cfg_.rto, [this, seq] {
+  ctx().set_timer(kRto, [this, seq] {
     if (!awaiting_ack_ || send_seq_ != seq || queue_.empty()) return;
     ++stats_.retransmissions;
     ctx().send_down(Message::p2p(peer(), queue_.front()));
@@ -148,7 +151,7 @@ void GoBackNLayer::transmit(std::uint64_t seq, const Payload& frame) {
 
 void GoBackNLayer::arm_timer() {
   const std::uint64_t epoch = ++timer_epoch_;
-  ctx().set_timer(cfg_.rto, [this, epoch] {
+  ctx().set_timer(kRto, [this, epoch] {
     if (epoch != timer_epoch_ || window_.empty()) return;
     // Go-back-N: resend the whole window.
     for (const auto& [seq, frame] : window_) {

@@ -27,8 +27,6 @@
 namespace msw {
 
 struct LinkConfig {
-  /// Retransmission timeout (both protocols).
-  Duration rto = 10 * kMillisecond;
   /// Frames in flight (GoBackN only).
   std::size_t window = 16;
 };
@@ -44,9 +42,6 @@ class LinkLayerBase : public Layer {
 
 class StopAndWaitLayer : public LinkLayerBase {
  public:
-  StopAndWaitLayer() = default;
-  explicit StopAndWaitLayer(LinkConfig cfg) : cfg_(cfg) {}
-
   std::string_view name() const override { return "stop-and-wait"; }
 
   void down(Message m) override;
@@ -63,7 +58,6 @@ class StopAndWaitLayer : public LinkLayerBase {
   void send_front();
   void arm_timer(std::uint64_t seq);
 
-  LinkConfig cfg_;
   std::deque<Payload> queue_;  // wire-form frames awaiting their turn (shared buffers)
   bool awaiting_ack_ = false;
   std::uint64_t send_seq_ = 0;   // seq of the frame currently in flight

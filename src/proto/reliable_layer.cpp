@@ -8,15 +8,15 @@
 namespace msw {
 namespace {
 
+// Type bytes 2 and 5 belonged to retired frame formats and stay unassigned,
+// so a stray old frame is a counted decode drop like any undefined type.
 enum class Type : std::uint8_t {
   kData = 0,
   kPass = 1,
-  kNack = 2,  // legacy per-sequence list
   kHeartbeat = 3,
   kAck = 4,
-  kAckVec = 5,      // legacy fixed-width full vector
-  kNackRange = 6,   // range-coded, varint-delta
-  kAckVecDelta = 7, // delta/full snapshot, varint fields
+  kNackRange = 6,    // range-coded, varint-delta
+  kAckVecDelta = 7,  // delta/full snapshot, varint fields
 };
 
 /// Cap on missing sequences requested per NACK round, to bound
@@ -28,6 +28,10 @@ constexpr std::size_t kMaxNackBatch = 64;
 /// vectors across frames and the encoders refuse (rather than truncate)
 /// anything bigger.
 constexpr std::size_t kMaxFrameEntries = 0xFFFF;
+
+/// Every k-th ack tick sends a full ack-vector snapshot instead of a delta,
+/// so a member that missed earlier deltas (loss, late join) converges.
+constexpr std::uint32_t kFullAckEvery = 8;
 
 }  // namespace
 
@@ -185,22 +189,7 @@ void ReliableLayer::up(Message m) {
           break;
         case Type::kPass:
           break;
-        case Type::kNack: {
-          origin = r.u32();
-          const std::uint32_t count = r.u32();
-          // The count is attacker-shaped until checked against the bytes
-          // actually present (8 per entry) — reserving first would turn a
-          // malformed frame into a giant allocation instead of a drop.
-          if (count > r.remaining() / 8) throw DecodeError("nack: count exceeds frame");
-          nack_ranges.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t s = r.u64();
-            nack_ranges.push_back({s, s + 1});
-          }
-          break;
-        }
         case Type::kNackRange: {
-          if (cfg_.legacy_control) throw DecodeError("unknown frame type (legacy decoder)");
           relwire::NackFrame f = relwire::decode_nack(r);
           origin = f.origin;
           nack_ranges = std::move(f.ranges);
@@ -214,21 +203,7 @@ void ReliableLayer::up(Message m) {
           origin = r.u32();
           seq = r.u64();
           break;
-        case Type::kAckVec: {
-          origin = r.u32();  // sender of the ack vector
-          const std::uint32_t count = r.u32();
-          // Same untrusted-count check as kNack; entries are u32+u64.
-          if (count > r.remaining() / 12) throw DecodeError("ack vector: count exceeds frame");
-          ack_vec.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint32_t o = r.u32();
-            const std::uint64_t cum = r.u64();
-            ack_vec.emplace_back(o, cum);
-          }
-          break;
-        }
         case Type::kAckVecDelta: {
-          if (cfg_.legacy_control) throw DecodeError("unknown frame type (legacy decoder)");
           relwire::AckVecFrame f = relwire::decode_ack_vec(r);
           origin = f.sender;
           ack_vec = std::move(f.cums);
@@ -239,8 +214,8 @@ void ReliableLayer::up(Message m) {
       }
     });
   } catch (const DecodeError&) {
-    // Truncated, malformed, or from a newer protocol version than this
-    // decoder understands: drop the frame, never misparse it.
+    // Truncated, malformed, or of a type this decoder does not define:
+    // drop the frame, never misparse it.
     ++stats_.decode_drops;
     return;
   }
@@ -251,7 +226,6 @@ void ReliableLayer::up(Message m) {
     case Type::kPass:
       ctx().deliver_up(std::move(m));
       break;
-    case Type::kNack:
     case Type::kNackRange:
       on_nack(m.wire_src, origin, nack_ranges);
       break;
@@ -261,7 +235,6 @@ void ReliableLayer::up(Message m) {
     case Type::kAck:
       on_ack(origin, seq);
       break;
-    case Type::kAckVec:
     case Type::kAckVecDelta:
       on_ack_vector(origin, ack_vec);
       break;
@@ -405,25 +378,12 @@ void ReliableLayer::send_nacks() {
     ++stats_.nacks_sent;
     tr_->instant(n_nack_, TelemetryTrack::kData, missing_seqs);
     Message m = Message::p2p(nack_target(origin), {});
-    if (cfg_.legacy_control) {
-      const std::uint32_t stream = origin;
-      m.push_header([&](Writer& w) {
-        w.u8(static_cast<std::uint8_t>(Type::kNack));
-        w.u32(stream);
-        w.u32(static_cast<std::uint32_t>(missing_seqs));
-        for (const SeqRange& r : missing) {
-          for (std::uint64_t s = r.begin; s < r.end; ++s) w.u64(s);
-        }
-      });
-      stats_.nack_entries_sent += missing_seqs;
-    } else {
-      relwire::NackFrame frame{origin, missing};
-      m.push_header([&](Writer& w) {
-        w.u8(static_cast<std::uint8_t>(Type::kNackRange));
-        relwire::encode_nack(w, frame);
-      });
-      stats_.nack_entries_sent += missing.size();
-    }
+    relwire::NackFrame frame{origin, missing};
+    m.push_header([&](Writer& w) {
+      w.u8(static_cast<std::uint8_t>(Type::kNackRange));
+      relwire::encode_nack(w, frame);
+    });
+    stats_.nack_entries_sent += missing.size();
     stats_.nack_bytes_sent += m.size();
     ctx().send_down(std::move(m));
   }
@@ -458,7 +418,7 @@ void ReliableLayer::send_acks() {
     // Multicast the per-origin contiguous vector: stability becomes common
     // knowledge, enabling store garbage collection everywhere. Ordinarily
     // only origins whose prefix advanced since the last tick are included
-    // (delta); every full_ack_every-th tick sends the full snapshot so a
+    // (delta); every kFullAckEvery-th tick sends the full snapshot so a
     // member that missed deltas converges.
     const std::uint32_t self = ctx().self().v;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> cums;
@@ -467,8 +427,7 @@ void ReliableLayer::send_acks() {
       if (origin != self) cums.emplace_back(origin, o.track.contiguous());
     }
     std::sort(cums.begin(), cums.end());
-    const bool full = cfg_.legacy_control || cfg_.full_ack_every == 0 ||
-                      ack_round_ % cfg_.full_ack_every == 0;
+    const bool full = ack_round_ % kFullAckEvery == 0;
     ++ack_round_;
     if (!full) {
       std::erase_if(cums, [&](const auto& e) {
@@ -478,45 +437,28 @@ void ReliableLayer::send_acks() {
       if (cums.empty()) return;  // nothing advanced; peers are current
     }
     for (const auto& [origin, cum] : cums) last_ack_sent_[origin] = cum;
-    if (cfg_.legacy_control) {
+    // The delta frame's u16 count caps one frame at kMaxFrameEntries
+    // origins; bigger vectors split across frames rather than truncate.
+    // Receivers merge cumulative acks by monotone max, so the frame
+    // boundary is invisible to them. max_ack_entries_per_frame lowers the
+    // cap so tests can exercise the split without 65k origins.
+    const std::size_t cap = cfg_.max_ack_entries_per_frame == 0
+                                ? kMaxFrameEntries
+                                : std::min(cfg_.max_ack_entries_per_frame, kMaxFrameEntries);
+    for (std::size_t base = 0; base < cums.size(); base += cap) {
+      const std::size_t n = std::min(cap, cums.size() - base);
+      relwire::AckVecFrame frame{self, full,
+                                 {cums.begin() + static_cast<std::ptrdiff_t>(base),
+                                  cums.begin() + static_cast<std::ptrdiff_t>(base + n)}};
       Message m = Message::group({});
       m.push_header([&](Writer& w) {
-        w.u8(static_cast<std::uint8_t>(Type::kAckVec));
-        w.u32(self);
-        w.u32(static_cast<std::uint32_t>(cums.size()));
-        for (const auto& [origin, cum] : cums) {
-          w.u32(origin);
-          w.u64(cum);
-        }
+        w.u8(static_cast<std::uint8_t>(Type::kAckVecDelta));
+        relwire::encode_ack_vec(w, frame);
       });
       stats_.ack_bytes_sent += m.size();
-      stats_.ack_entries_sent += cums.size();
+      stats_.ack_entries_sent += n;
       ++stats_.ack_frames_sent;
       ctx().send_down(std::move(m));
-    } else {
-      // The delta frame's u16 count caps one frame at kMaxFrameEntries
-      // origins; bigger vectors split across frames rather than truncate.
-      // Receivers merge cumulative acks by monotone max, so the frame
-      // boundary is invisible to them. max_ack_entries_per_frame lowers the
-      // cap so tests can exercise the split without 65k origins.
-      const std::size_t cap = cfg_.max_ack_entries_per_frame == 0
-                                  ? kMaxFrameEntries
-                                  : std::min(cfg_.max_ack_entries_per_frame, kMaxFrameEntries);
-      for (std::size_t base = 0; base < cums.size(); base += cap) {
-        const std::size_t n = std::min(cap, cums.size() - base);
-        relwire::AckVecFrame frame{self, full,
-                                   {cums.begin() + static_cast<std::ptrdiff_t>(base),
-                                    cums.begin() + static_cast<std::ptrdiff_t>(base + n)}};
-        Message m = Message::group({});
-        m.push_header([&](Writer& w) {
-          w.u8(static_cast<std::uint8_t>(Type::kAckVecDelta));
-          relwire::encode_ack_vec(w, frame);
-        });
-        stats_.ack_bytes_sent += m.size();
-        stats_.ack_entries_sent += n;
-        ++stats_.ack_frames_sent;
-        ctx().send_down(std::move(m));
-      }
     }
   } else {
     for (const auto& [origin, o] : origins_) {

@@ -19,9 +19,9 @@
 // *ranges* (varint-delta coded), so a 10^5-sequence partition gap costs a
 // handful of bytes instead of one u64 per sequence, and peer-assist ack
 // vectors are delta-coded (change-only entries between periodic full
-// snapshots, varint fields, origin-gap coding). Legacy per-sequence frames
-// are still decoded for mixed-version groups; a legacy-configured decoder
-// *drops* the new frame types instead of misparsing them.
+// snapshots, varint fields, origin-gap coding). A frame of any other type
+// — including the retired per-sequence NACK (2) and fixed-width ack vector
+// (5) — is a counted decode drop, never misparsed.
 //
 // Garbage collection is quorum-based but bounded: a member heard from
 // nothing for `eviction_horizon` is excluded from the GC quorums (sender
@@ -77,13 +77,6 @@ struct ReliableConfig {
   std::size_t max_sent_buffer = 8192;
   /// Per-origin cap on peer-assist store entries. 0 = unbounded.
   std::size_t max_store_per_origin = 8192;
-  /// Emit (and only accept) the pre-range wire format: per-sequence u64
-  /// NACK lists and fixed-width full ack vectors. Exists for mixed-version
-  /// tests and the encoding ablation in bench_group_scaling.
-  bool legacy_control = false;
-  /// With delta ack vectors, every k-th ack tick sends a full snapshot so
-  /// a member that missed earlier deltas (loss, late join) converges.
-  std::uint32_t full_ack_every = 8;
   /// Test-visible override of the per-frame ack-vector entry cap. 0 = the
   /// wire format's u16 maximum (65535); larger values are clamped to it.
   /// Lowering it lets tests exercise the oversized-vector frame split
@@ -91,8 +84,8 @@ struct ReliableConfig {
   std::size_t max_ack_entries_per_frame = 0;
 };
 
-/// Control-plane wire codecs, exposed for tests (round-trip, truncation,
-/// mixed-version) and shared by ReliableLayer::up/send paths. Each codec
+/// Control-plane wire codecs, exposed for tests (round-trip, truncation)
+/// and shared by ReliableLayer::up/send paths. Each codec
 /// covers the frame body *after* the type byte.
 namespace relwire {
 
@@ -147,7 +140,7 @@ class ReliableLayer : public Layer {
     std::uint64_t buffered_copies = 0;  // currently held for retransmission
     /// Control-plane accounting (headers incl. framing, as sent down).
     std::uint64_t nack_bytes_sent = 0;
-    std::uint64_t nack_entries_sent = 0;  // ranges (or seqs under legacy)
+    std::uint64_t nack_entries_sent = 0;  // ranges
     std::uint64_t ack_bytes_sent = 0;
     std::uint64_t ack_entries_sent = 0;
     std::uint64_t ack_frames_sent = 0;  // frames, so tests can see splits
@@ -155,8 +148,7 @@ class ReliableLayer : public Layer {
     std::uint64_t members_evicted = 0;
     /// Copies dropped by the max_sent_buffer / max_store_per_origin caps.
     std::uint64_t buffer_evictions = 0;
-    /// Frames dropped as undecodable (unknown type, truncation, or a new
-    /// frame arriving at a legacy_control decoder).
+    /// Frames dropped as undecodable (unknown type or truncation).
     std::uint64_t decode_drops = 0;
   };
   Stats stats() const;

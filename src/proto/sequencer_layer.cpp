@@ -105,6 +105,8 @@ void SequencerLayer::up(Message m) {
         break;
       case Type::kPass:
         break;
+      default:
+        throw DecodeError("unknown sequencer frame type");
     }
   });
   switch (type) {

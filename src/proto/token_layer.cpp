@@ -89,6 +89,8 @@ void TokenLayer::up(Message m) {
       }
       case Type::kPass:
         break;
+      default:
+        throw DecodeError("unknown token frame type");
     }
   });
   switch (type) {
@@ -213,7 +215,7 @@ void TokenLayer::arm_token_retransmit() {
   // One pending retransmission at a time: re-arming replaces it, and the
   // ack cancels it, so it fires only while the handoff is unacked.
   ctx().cancel_timer(retx_timer_);
-  retx_timer_ = ctx().set_timer(cfg_.token_rto, [this] {
+  retx_timer_ = ctx().set_timer(kTokenHandoffRto, [this] {
     retx_timer_ = {};
     ++stats_.token_retransmissions;
     ctx().send_down(Message::p2p(ctx().ring_successor(), outstanding_bytes_));

@@ -44,8 +44,6 @@
 namespace msw {
 
 struct TokenConfig {
-  /// Token handoff retransmission interval.
-  Duration token_rto = 15 * kMillisecond;
   /// Receiver-side gap NACK interval.
   Duration nack_interval = 10 * kMillisecond;
   /// Pacing period of an idle token: a member forwards it no sooner than

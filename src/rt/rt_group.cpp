@@ -14,8 +14,8 @@ RtGroup::RtGroup(ThreadedTransport& transport, std::size_t n, const LayerFactory
   if (hub != nullptr) {
     // Runtime runs stamp telemetry with wall-clock microseconds since
     // transport construction. Attach before any tracer exists so every
-    // event carries the wall domain.
-    hub->attach_clock(&transport, ClockDomain::kWall);
+    // event carries wall time.
+    hub->attach_clock(&transport);
   }
   members_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) members_.push_back(transport.add_node(shard));

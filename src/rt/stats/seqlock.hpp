@@ -1,16 +1,19 @@
 // Seqlock-style snapshot buffer: one writer publishes a fixed-size array of
 // 64-bit slots, any number of readers take consistent copies, and the
 // writer NEVER blocks — there is no lock to take, only a sequence bump and
-// plain relaxed stores. A reader that races a publication simply retries.
+// plain stores. A reader that races a publication simply retries.
 //
 // This is the publication channel between a shard's loop thread (writer)
-// and the StatsPublisher thread (reader). The writer side costs two atomic
-// RMW-free stores plus N relaxed stores per publish; a reader pays a copy
-// and, rarely, a retry. Every slot is a std::atomic with relaxed ordering
-// bracketed by acquire/release fences on the sequence word — the classic
-// Boehm "Can seqlocks get along with programming language memory models?"
-// construction — so the protocol is data-race-free under TSan, not just in
-// practice.
+// and the StatsPublisher thread (reader). The writer side costs two
+// RMW-free stores of the sequence word plus N slot stores per publish; a
+// reader pays a copy and, rarely, a retry. Every slot is a std::atomic
+// written with release stores and read with acquire loads — the variant of
+// Boehm's "Can seqlocks get along with programming language memory
+// models?" that needs no fences: a reader that sees any slot of a newer
+// publication also sees the odd sequence value that opened it, so its
+// closing sequence check fails and it retries. On x86 both are plain moves.
+// ThreadSanitizer models acquire/release atomics but not fences, so it
+// checks this protocol as written.
 #pragma once
 
 #include <atomic>
@@ -41,8 +44,8 @@ class SeqlockBuf {
   void publish(const std::uint64_t* src, std::size_t n) {
     const std::uint64_t s = seq_.load(std::memory_order_relaxed);
     seq_.store(s + 1, std::memory_order_relaxed);  // odd: publication open
-    std::atomic_thread_fence(std::memory_order_release);
-    for (std::size_t i = 0; i < n; ++i) buf_[i].store(src[i], std::memory_order_relaxed);
+    // Each release store orders the odd sequence value before the slot.
+    for (std::size_t i = 0; i < n; ++i) buf_[i].store(src[i], std::memory_order_release);
     seq_.store(s + 2, std::memory_order_release);  // even: publication closed
   }
 
@@ -57,8 +60,8 @@ class SeqlockBuf {
       if (attempt > 0) backoff(attempt);
       const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;  // publication in flight
-      for (std::size_t i = 0; i < n; ++i) dst[i] = buf_[i].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire loads keep the closing check below after every slot read.
+      for (std::size_t i = 0; i < n; ++i) dst[i] = buf_[i].load(std::memory_order_acquire);
       if (seq_.load(std::memory_order_relaxed) == s1) return true;
     }
     return false;

@@ -17,8 +17,6 @@ void* TickArena::alloc(std::size_t bytes) {
       if (off_ + bytes <= b.cap) {
         Byte* p = b.mem.get() + off_;
         off_ += bytes;
-        used_ += bytes;
-        high_water_ = std::max(high_water_, used_);
         return p;
       }
       ++cur_block_;
@@ -33,8 +31,6 @@ void* TickArena::alloc(std::size_t bytes) {
 void TickArena::reset() {
   cur_block_ = 0;
   off_ = 0;
-  used_ = 0;
-  ++resets_;
 }
 
 void Scheduler::bind_metrics(MetricsRegistry& reg) const {

@@ -56,12 +56,6 @@ class TickArena {
   /// reuse; only the bump cursor rewinds.
   void reset();
 
-  /// Bytes handed out since the last reset.
-  std::size_t used() const { return used_; }
-  /// Largest `used()` ever observed — sizing signal for the block list.
-  std::size_t high_water() const { return high_water_; }
-  std::uint64_t resets() const { return resets_; }
-
  private:
   struct Block {
     std::unique_ptr<Byte[]> mem;
@@ -73,9 +67,6 @@ class TickArena {
   std::vector<Block> blocks_;
   std::size_t cur_block_ = 0;
   std::size_t off_ = 0;
-  std::size_t used_ = 0;
-  std::size_t high_water_ = 0;
-  std::uint64_t resets_ = 0;
 };
 
 /// Handle for a scheduled event, usable with Scheduler::cancel. A default

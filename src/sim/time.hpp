@@ -21,6 +21,5 @@ inline constexpr Duration kSecond = 1000 * 1000;
 
 constexpr double to_ms(Duration d) { return static_cast<double>(d) / 1000.0; }
 constexpr double to_sec(Duration d) { return static_cast<double>(d) / 1e6; }
-constexpr Duration from_ms(double ms) { return static_cast<Duration>(ms * 1000.0); }
 
 }  // namespace msw

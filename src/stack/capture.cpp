@@ -24,14 +24,6 @@ void TraceCapture::record_deliver(NodeId process, const MsgId& id, std::span<con
   trace_.push_back(std::move(e));
 }
 
-std::size_t TraceCapture::deliver_count(NodeId process) const {
-  std::size_t n = 0;
-  for (const auto& e : trace_) {
-    if (e.is_deliver() && e.process == process.v) ++n;
-  }
-  return n;
-}
-
 std::size_t TraceCapture::send_count(NodeId process) const {
   std::size_t n = 0;
   for (const auto& e : trace_) {

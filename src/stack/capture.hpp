@@ -22,8 +22,6 @@ class TraceCapture {
   const Trace& trace() const { return trace_; }
   void clear() { trace_.clear(); }
 
-  /// Number of Deliver events recorded for the given process.
-  std::size_t deliver_count(NodeId process) const;
   /// Number of Send events recorded for the given process.
   std::size_t send_count(NodeId process) const;
 

@@ -18,6 +18,7 @@ Stack::Stack(Transport& transport, NodeId self, std::vector<NodeId> members,
     metrics_ = &hub->node_metrics(self.v);
     metrics_->attach_counter("app.sent", &next_seq_);
     metrics_->attach_counter("app.delivered", &delivered_);
+    metrics_->attach_counter("stack.decode_drops", &decode_drops_);
     n_app_send_ = tracer_->intern("app.send");
     n_app_deliver_ = tracer_->intern("app.deliver");
   } else {
@@ -127,8 +128,10 @@ void Stack::on_packet(Packet p) {
   try {
     chain_->up_from_bottom(std::move(m));
   } catch (const DecodeError& e) {
-    // Malformed wire data (corruption, or ciphertext decrypted with the
-    // wrong key): real stacks drop such packets at the point of failure.
+    // Malformed wire data (corruption, an undefined frame type, or
+    // ciphertext decrypted with the wrong key): real stacks drop such
+    // packets at the point of failure.
+    ++decode_drops_;
     MSW_LOG(kDebug, "stack", now())
         << to_string(self()) << " dropped malformed packet from " << to_string(p.src) << ": "
         << e.what();

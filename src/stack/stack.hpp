@@ -71,6 +71,9 @@ class Stack : public Services {
   std::uint64_t sent() const { return next_seq_; }
   /// Messages delivered to the application at this process.
   std::uint64_t delivered() const { return delivered_; }
+  /// Packets dropped because a layer threw DecodeError on them
+  /// (`stack.decode_drops`).
+  std::uint64_t decode_drops() const { return decode_drops_; }
 
   // Services interface (used by layers).
   NodeId self() const override { return self_; }
@@ -111,6 +114,7 @@ class Stack : public Services {
   std::uint64_t deliver_mask_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
+  std::uint64_t decode_drops_ = 0;
   bool collecting_ = false;  // inside send_batch: group multicasts go to run_
   std::vector<Payload> run_;
 };

@@ -31,6 +31,10 @@ namespace msw {
 /// Default pacing period of both token rings.
 inline constexpr Duration kTokenPacePeriod = 2 * kMillisecond;
 
+/// Handoff retransmission interval of both token rings: a member resends
+/// the token it forwarded until its successor acks it, once per interval.
+inline constexpr Duration kTokenHandoffRto = 15 * kMillisecond;
+
 /// A timestamp older than any period: "never happened".
 inline constexpr Time kLongAgo = std::numeric_limits<Time>::min() / 2;
 

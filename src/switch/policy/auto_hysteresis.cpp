@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace msw {
+namespace {
+
+/// Target duty cycle: fraction of wall time spent inside switchovers.
+constexpr double kDuty = 0.004;
+/// Longest dwell, however costly the observed switches.
+constexpr Duration kCeil = 10 * kSecond;
+
+}  // namespace
 
 AutoHysteresis::AutoHysteresis(AutoHysteresisConfig cfg) : cfg_(cfg) {
   if (cfg_.window == 0) cfg_.window = 1;
@@ -24,9 +32,9 @@ Duration AutoHysteresis::overhead_mean() const {
 }
 
 Duration AutoHysteresis::dwell() const {
-  if (count_ == 0) return std::clamp(cfg_.initial, cfg_.floor, cfg_.ceil);
-  const double d = static_cast<double>(overhead_mean()) / cfg_.duty;
-  return std::clamp(static_cast<Duration>(d), cfg_.floor, cfg_.ceil);
+  if (count_ == 0) return std::clamp(cfg_.initial, cfg_.floor, kCeil);
+  const double d = static_cast<double>(overhead_mean()) / kDuty;
+  return std::clamp(static_cast<Duration>(d), cfg_.floor, kCeil);
 }
 
 }  // namespace msw

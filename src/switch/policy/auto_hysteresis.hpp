@@ -8,11 +8,11 @@
 // small ring of the most recent observed switch-overhead spans (a member's
 // PREPARE-to-install windows) and sets
 //
-//   dwell = clamp(overhead_mean / duty, floor, ceil)
+//   dwell = clamp(overhead_mean / duty, floor, 10 s)
 //
-// where `duty` is the fraction of time the group is allowed to spend
-// switching (default 0.4%: a 31 ms switch then forbids another for ~8 s,
-// and a cheap 3 ms switch only for ~0.75 s). Costly switches — long drains
+// where `duty` = 0.4% is the fraction of time the group is allowed to
+// spend switching (a 31 ms switch then forbids another for ~8 s, and a
+// cheap 3 ms switch only for ~0.75 s). Costly switches — long drains
 // under loss or heavy load — automatically stretch the guard exactly when
 // flapping would hurt most; until the first switch has been observed the
 // configured initial dwell applies.
@@ -28,10 +28,7 @@ namespace msw {
 struct AutoHysteresisConfig {
   /// Dwell used before any switch overhead has been observed.
   Duration initial = 1 * kSecond;
-  /// Target duty cycle: fraction of wall time spent inside switchovers.
-  double duty = 0.004;
   Duration floor = 300 * kMillisecond;
-  Duration ceil = 10 * kSecond;
   /// Observed-overhead ring capacity (most recent spans win).
   std::size_t window = 8;
 };

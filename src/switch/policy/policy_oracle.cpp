@@ -6,14 +6,21 @@
 #include "stack/layer.hpp"
 
 namespace msw {
+namespace {
+
+/// SP token retransmissions/s above which switch initiation is vetoed — a
+/// drain started while the control ring is itself dropping tokens is the
+/// paper's "unexpected hitch" at its worst. It only trips on genuine
+/// retransmission storms: ordinary loss, and even a saturated sequencer
+/// slowing the ring, sit well below it.
+constexpr double kChurnVetoTokenRetx = 25.0;
+
+}  // namespace
 
 std::string_view to_string(ProtocolKind k) {
   switch (k) {
     case ProtocolKind::kSequencer: return "sequencer";
     case ProtocolKind::kToken: return "token";
-    case ProtocolKind::kCausal: return "causal";
-    case ProtocolKind::kPriority: return "priority";
-    case ProtocolKind::kReliableFifo: return "reliable_fifo";
   }
   return "?";
 }
@@ -38,7 +45,7 @@ void PolicyOracle::attach(Services& services) {
 
 double PolicyOracle::score_us(ProtocolKind kind, const SignalVector& s,
                               std::size_t members, double net_inflation) const {
-  const PolicyPriors& pr = cfg_.priors;
+  using namespace policy_priors;
   switch (kind) {
     case ProtocolKind::kSequencer: {
       // M/M/1 queueing at the sequencer. Utilisation comes from the larger
@@ -53,10 +60,10 @@ double PolicyOracle::score_us(ProtocolKind kind, const SignalVector& s,
       // backlog (seq.pending) adds its drain time on top.
       const double offered =
           std::max(s.delivered_rate, s.send_rate * std::max(s.active_senders, 1.0));
-      const double mu = pr.seq_service_us > 0 ? 1e6 / pr.seq_service_us : 1e9;
-      const double rho = std::clamp(offered / mu, 0.0, pr.rho_cap);
-      return pr.seq_base_us * net_inflation + pr.seq_service_us * rho / (1.0 - rho) +
-             s.seq_pending * pr.seq_backlog_us;
+      const double mu = 1e6 / kSeqServiceUs;
+      const double rho = std::clamp(offered / mu, 0.0, kRhoCap);
+      return kSeqBaseUs * net_inflation + kSeqServiceUs * rho / (1.0 - rho) +
+             s.seq_pending * kSeqBacklogUs;
     }
     case ProtocolKind::kToken: {
       // Expected wait for the rotating token is half a rotation; use the
@@ -64,26 +71,9 @@ double PolicyOracle::score_us(ProtocolKind kind, const SignalVector& s,
       // crosses the same ring), else the calibrated per-hop prior.
       const double rotation = s.rotation_us > 0
                                   ? s.rotation_us
-                                  : static_cast<double>(members) * pr.token_hop_us;
-      return pr.token_base_us + rotation / 2.0;
+                                  : static_cast<double>(members) * kTokenHopUs;
+      return kTokenBaseUs + rotation / 2.0;
     }
-    case ProtocolKind::kCausal:
-      // One multicast hop plus vector-clock work growing with concurrency;
-      // no total order, so no queueing term.
-      return pr.causal_base_us * net_inflation + s.active_senders * pr.causal_sender_us;
-    case ProtocolKind::kPriority: {
-      // Sequencer-shaped with a heap surcharge on the service time.
-      const double offered =
-          std::max(s.delivered_rate, s.send_rate * std::max(s.active_senders, 1.0));
-      const double service = pr.seq_service_us * pr.priority_service_factor;
-      const double mu = service > 0 ? 1e6 / service : 1e9;
-      const double rho = std::clamp(offered / mu, 0.0, pr.rho_cap);
-      return pr.seq_base_us * net_inflation + service * rho / (1.0 - rho) +
-             s.seq_pending * pr.seq_backlog_us * pr.priority_service_factor;
-    }
-    case ProtocolKind::kReliableFifo:
-      // Per-source FIFO: no ordering coordination at all.
-      return pr.fifo_base_us * net_inflation;
   }
   return 0;
 }
@@ -114,7 +104,7 @@ bool PolicyOracle::should_switch(const OracleView& view) {
   }
 
   const std::size_t members = members_ > 0 ? members_ : 1;
-  const ProtocolKind active_kind = cfg_.slot[view.active_protocol & 1];
+  const auto active_kind = static_cast<ProtocolKind>(view.active_protocol & 1);
 
   // The measured ring rotation is a self-measurement only while the token
   // protocol is the one driving the ring. Under the sequencer, the SP
@@ -129,15 +119,13 @@ bool PolicyOracle::should_switch(const OracleView& view) {
   // While the token protocol drives the ring, the measured rotation is a
   // clean probe of current network conditions (jitter, loss-induced delay),
   // and those conditions degrade every protocol's hop latency, not just the
-  // one being measured. Scale the prior-scored kinds' base terms by the
-  // same observed slowdown; otherwise a jitter burst inflates only the live
+  // one being measured. Scale the sequencer's prior base term by the same
+  // observed slowdown; otherwise a jitter burst inflates only the live
   // measurement and the engine switches toward whichever side is blind.
   double net_inflation = 1.0;
   if (active_kind == ProtocolKind::kToken && s.rotation_us > 0) {
-    const double prior_rotation =
-        static_cast<double>(members) * cfg_.priors.token_hop_us;
-    if (prior_rotation > 0)
-      net_inflation = std::max(1.0, s.rotation_us / prior_rotation);
+    const double prior_rotation = static_cast<double>(members) * policy_priors::kTokenHopUs;
+    net_inflation = std::max(1.0, s.rotation_us / prior_rotation);
   }
 
   std::array<double, kProtocolKinds> score{};
@@ -154,13 +142,13 @@ bool PolicyOracle::should_switch(const OracleView& view) {
     ++stats_.vetoed_dwell;
     return false;
   }
-  if (s.token_retx_rate > cfg_.churn_veto_token_retx) {
+  if (s.token_retx_rate > kChurnVetoTokenRetx) {
     ++stats_.vetoed_churn;
     return false;
   }
 
-  const double active = score[static_cast<std::size_t>(cfg_.slot[view.active_protocol & 1])];
-  const double alt = score[static_cast<std::size_t>(cfg_.slot[1 - (view.active_protocol & 1)])];
+  const double active = score[static_cast<std::size_t>(active_kind)];
+  const double alt = score[1 - static_cast<std::size_t>(active_kind)];
   if (active > cfg_.switch_margin * alt + cfg_.switch_cost_us) {
     ++stats_.switch_decisions;
     return true;

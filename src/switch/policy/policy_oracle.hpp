@@ -18,17 +18,16 @@
 //   3. churn veto — never *initiate* a switch while the SP control ring is
 //      itself retransmitting tokens (a drain started under loss is exactly
 //      the "unexpected hitch" the paper warns about);
-//   4. score every protocol kind in expected delivery latency (µs) from
-//      the windowed signal vector, and switch only when the active slot's
-//      score exceeds the alternative's by the configured margin.
+//   4. score both protocols in expected delivery latency (µs) from the
+//      windowed signal vector, and switch only when the active one's score
+//      exceeds the alternative's by the configured margin.
 //
-// Scores for the two hybrid slots come from live signals (M/M/1 queueing on
+// Both scores come from live signals and fixed priors: M/M/1 queueing on
 // the measured order rate for the sequencer; the measured NORMAL-token
-// rotation for the token ring — the SP control token crosses the same ring
-// the token protocol would use, whichever protocol carries data). The
-// remaining kinds (causal / priority / reliable-FIFO) are scored from
-// calibrated priors so the full ranking is always published for exporters,
-// benches, and future hybrid pairings.
+// rotation for the token ring (the SP control token crosses the same ring
+// the token protocol would use, whichever protocol carries data). Slot 0
+// of the switch layer is the sequencer and slot 1 the token ring, as
+// make_hybrid_total_order_factory builds them.
 #pragma once
 
 #include <array>
@@ -42,22 +41,19 @@
 
 namespace msw {
 
-/// Every protocol family the policy engine ranks. The first two are the
-/// live hybrid slots; the rest are modelled candidates.
+/// The two protocols the policy engine ranks; the value is the switch
+/// layer's protocol index.
 enum class ProtocolKind : std::uint8_t {
   kSequencer = 0,
-  kToken,
-  kCausal,
-  kPriority,
-  kReliableFifo,
+  kToken = 1,
 };
-inline constexpr std::size_t kProtocolKinds = 5;
+inline constexpr std::size_t kProtocolKinds = 2;
 
 std::string_view to_string(ProtocolKind k);
 
 /// Calibrated cost-model priors, in microseconds of expected delivery
-/// latency. Defaults match bench/calibration.hpp's era testbed (10-node
-/// group, 1 ms hops, ~3 ms sequencer service time).
+/// latency. They match bench/calibration.hpp's era testbed (10-node group,
+/// 1 ms hops, ~3 ms sequencer service time).
 ///
 /// Scores deliberately use only signals that keep updating whichever
 /// protocol is active (delivery rate, SP ring rotation, sender count) plus
@@ -66,33 +62,24 @@ std::string_view to_string(ProtocolKind k);
 /// active, and penalising the active side for signals the inactive side
 /// cannot emit is a built-in oscillator (the active protocol always looks
 /// worse than the idle one).
-struct PolicyPriors {
-  // Sequencer: two hops + ordering work, queueing as an M/M/1 server.
-  double seq_base_us = 7000;     // low-load latency (~2 network hops + order)
-  double seq_service_us = 3000;  // per-message sequencer service time
-  double rho_cap = 0.95;         // utilisation cap keeping the queue term finite
-  /// Drain cost per locally pending (unsequenced) order request. The
-  /// utilisation term alone cannot see saturation — once the sequencer is
-  /// the bottleneck, the *delivered* rate is clamped at capacity and the
-  /// measured rho stays politely below 1 while queues diverge. The
-  /// sender-side backlog (seq.pending) is the divergence detector.
-  double seq_backlog_us = 3000;
+namespace policy_priors {
+// Sequencer: two hops + ordering work, queueing as an M/M/1 server.
+inline constexpr double kSeqBaseUs = 7000;     // low-load latency (~2 hops + order)
+inline constexpr double kSeqServiceUs = 3000;  // per-message sequencer service time
+inline constexpr double kRhoCap = 0.95;        // keeps the queue term finite
+/// Drain cost per locally pending (unsequenced) order request. The
+/// utilisation term alone cannot see saturation — once the sequencer is
+/// the bottleneck, the *delivered* rate is clamped at capacity and the
+/// measured rho stays politely below 1 while queues diverge. The
+/// sender-side backlog (seq.pending) is the divergence detector.
+inline constexpr double kSeqBacklogUs = 3000;
 
-  // Token ring: expected wait is half a rotation plus per-visit processing.
-  double token_base_us = 2000;   // deliver hop + token bookkeeping
-  double token_hop_us = 1800;    // per-member rotation prior (no measurement yet)
-
-  // Modelled kinds (not yet live hybrid slots).
-  double causal_base_us = 3500;  // one multicast hop + vector-clock work
-  double causal_sender_us = 150; // VC compare/merge cost per concurrent sender
-  double priority_service_factor = 1.15;  // heap overhead atop sequencer service
-  double fifo_base_us = 4500;    // per-source FIFO, no global coordination
-};
+// Token ring: expected wait is half a rotation plus per-visit processing.
+inline constexpr double kTokenBaseUs = 2000;  // deliver hop + token bookkeeping
+inline constexpr double kTokenHopUs = 1800;   // per-member rotation prior (unmeasured)
+}  // namespace policy_priors
 
 struct PolicyConfig {
-  /// Which protocol kind lives in each hybrid slot (index = the switch
-  /// layer's protocol index).
-  std::array<ProtocolKind, 2> slot{ProtocolKind::kSequencer, ProtocolKind::kToken};
   SignalPlaneConfig signals;
   /// Aggregation span for windowed signal vectors at decision time.
   Duration window = 2 * kSecond;
@@ -111,13 +98,6 @@ struct PolicyConfig {
   /// real multi-rotation drain to chase a phantom gain.
   double switch_cost_us = 4000;
   AutoHysteresisConfig dwell;
-  /// SP token retransmissions/s above which switch initiation is vetoed —
-  /// a drain started while the control ring is itself dropping tokens is
-  /// the paper's "unexpected hitch" at its worst. The default only trips
-  /// on genuine retransmission storms: ordinary loss, and even a saturated
-  /// sequencer slowing the ring, sit well below it.
-  double churn_veto_token_retx = 25.0;
-  PolicyPriors priors;
 };
 
 class PolicyOracle : public Oracle {
@@ -131,13 +111,13 @@ class PolicyOracle : public Oracle {
   bool should_switch(const OracleView& view) override;
 
   /// Expected delivery latency (µs) of `kind` under signal vector `s` for a
-  /// `members`-sized group. Pure function of config priors + signals;
-  /// exposed for tests and the ablation bench. `net_inflation` scales the
-  /// model-based base terms by the observed network slowdown (measured ring
-  /// rotation / calibrated prior) so that prior-scored kinds degrade in
-  /// step with the live-measured one — without it, a jitter burst inflates
-  /// only the protocol that is actually being measured and the engine
-  /// switches toward whichever side is blind.
+  /// `members`-sized group. Pure function of the priors and the signals;
+  /// exposed for tests. `net_inflation` scales the sequencer's base term by
+  /// the observed network slowdown (measured ring rotation / calibrated
+  /// prior) so that the prior-scored sequencer degrades in step with the
+  /// live-measured ring — without it, a jitter burst inflates only the
+  /// protocol that is actually being measured and the engine switches
+  /// toward whichever side is blind.
   double score_us(ProtocolKind kind, const SignalVector& s, std::size_t members,
                   double net_inflation = 1.0) const;
 

@@ -3,11 +3,14 @@
 #include "stack/layer.hpp"
 
 namespace msw {
+namespace {
 
-SignalPlane::SignalPlane(SignalPlaneConfig cfg) : cfg_(cfg) {
-  if (cfg_.ring == 0) cfg_.ring = 1;
-  ring_.resize(cfg_.ring);
-}
+/// Windowed vectors retained: 3.2 s at the default 100 ms sampling.
+constexpr std::size_t kRing = 32;
+
+}  // namespace
+
+SignalPlane::SignalPlane(SignalPlaneConfig cfg) : cfg_(cfg) { ring_.resize(kRing); }
 
 void SignalPlane::bind(Services& services) {
   services_ = &services;

@@ -63,8 +63,6 @@ struct SignalPlaneConfig {
   /// Sampling cadence. Each sample covers exactly the time since the
   /// previous one, so rates stay exact under timer jitter.
   Duration sample_every = 100 * kMillisecond;
-  /// Bounded ring of retained windowed vectors.
-  std::size_t ring = 32;
 };
 
 class SignalPlane {
@@ -126,6 +124,7 @@ class SignalPlane {
   double consult_senders_ = 0;
   double consult_rotation_us_ = 0;
 
+  /// Bounded ring of the most recent windowed vectors.
   std::vector<SignalVector> ring_;
   std::size_t next_ = 0;
   std::size_t count_ = 0;

@@ -1,7 +1,6 @@
 #include "switch/switch_layer.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "telemetry/metrics.hpp"
 #include "util/log.hpp"
@@ -158,6 +157,7 @@ void SwitchLayer::up(Message m) {
   try {
     channel = Mux::pop(m);
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   switch (channel) {
@@ -171,24 +171,35 @@ void SwitchLayer::up(Message m) {
       on_control(std::move(m));
       break;
     default:
+      ++stats_.decode_drops;
       break;
   }
 }
 
 void SwitchLayer::on_subprotocol_deliver(int protocol, Message m) {
+  // Runs inside the reorder loop of the protocol below, so a bad frame is
+  // counted and dropped here; a throw would strand the messages that loop
+  // still holds.
   DataType type{};
   std::uint64_t epoch = 0;
   std::uint32_t sender = 0;
   try {
     m.pop_header([&](Reader& r) {
       type = static_cast<DataType>(r.u8());
-      if (type == DataType::kData) {
-        epoch = r.u64();
-        sender = r.u32();
-        r.u64();  // per-epoch sequence, diagnostic only
+      switch (type) {
+        case DataType::kData:
+          epoch = r.u64();
+          sender = r.u32();
+          r.u64();  // per-epoch sequence, diagnostic only
+          break;
+        case DataType::kPass:
+          break;
+        default:
+          throw DecodeError("unknown sp data type");
       }
     });
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   if (type == DataType::kPass) {
@@ -196,9 +207,9 @@ void SwitchLayer::on_subprotocol_deliver(int protocol, Message m) {
     return;
   }
   if (static_cast<int>(epoch % 2) != protocol) {
-    // A message tagged for one protocol surfaced from the other: a bug in
-    // the composition, not a runtime condition.
-    assert(false && "epoch/protocol mismatch");
+    // A message tagged for one protocol surfaced from the other: the
+    // sender's stack never does that, so the frame is malformed.
+    ++stats_.decode_drops;
     return;
   }
   if (epoch == epoch_) {
@@ -317,10 +328,15 @@ void SwitchLayer::on_control(Message m) {
   try {
     m.pop_header([&](Reader& r) {
       type = static_cast<CtlType>(r.u8());
-      if (type == CtlType::kToken) {
-        token = decode_token(r);
-      } else {
-        ack_serial = r.u64();
+      switch (type) {
+        case CtlType::kToken:
+          token = decode_token(r);
+          break;
+        case CtlType::kAck:
+          ack_serial = r.u64();
+          break;
+        default:
+          throw DecodeError("unknown sp control type");
       }
     });
   } catch (const DecodeError&) {
@@ -535,7 +551,7 @@ void SwitchLayer::arm_token_retransmit() {
   // One pending retransmission at a time: re-arming replaces it, and the
   // ack handler cancels it, so it fires only while the handoff is unacked.
   ctx().cancel_timer(retx_timer_);
-  retx_timer_ = ctx().set_timer(cfg_.token_rto, [this] {
+  retx_timer_ = ctx().set_timer(kTokenHandoffRto, [this] {
     retx_timer_ = {};
     ++stats_.token_retransmissions;
     tr_->instant(n_tok_retx_, TelemetryTrack::kControl, outstanding_serial_);

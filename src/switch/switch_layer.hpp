@@ -69,8 +69,6 @@
 namespace msw {
 
 struct SwitchConfig {
-  /// Token handoff retransmission interval.
-  Duration token_rto = 15 * kMillisecond;
   /// Pacing period of the NORMAL token: a member forwards it no sooner than
   /// this after it last forwarded the ring's token, unless it initiates a
   /// switch. Bounds control traffic and oracle consults to about one ring
@@ -132,7 +130,7 @@ class SwitchLayer : public Layer {
     std::uint64_t token_hops = 0;               // tokens this member forwarded
     std::uint64_t token_retransmissions = 0;
     std::uint64_t stale_dropped = 0;            // old-epoch duplicates
-    std::uint64_t decode_drops = 0;             // control frames failing decode
+    std::uint64_t decode_drops = 0;             // frames failing decode (data or control)
     std::uint64_t max_buffered = 0;             // high-water mark of buffer
     /// Initiator-side duration of the last completed switch, from NORMAL
     /// token capture to FLUSH return (the paper's ~31 ms overhead).

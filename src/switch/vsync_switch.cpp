@@ -1,7 +1,6 @@
 #include "switch/vsync_switch.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "proto/vsync_layer.hpp"  // encode_view_body
 #include "stack/stack.hpp"
@@ -13,6 +12,9 @@ namespace {
 constexpr std::uint16_t kChanProtoA = 0;
 constexpr std::uint16_t kChanProtoB = 1;
 constexpr std::uint16_t kChanControl = 2;
+
+/// Coordinator's control retransmission interval during a switch.
+constexpr Duration kControlRto = 20 * kMillisecond;
 
 enum class DataType : std::uint8_t { kData = 0, kPass = 1 };
 
@@ -27,9 +29,8 @@ enum class CtlType : std::uint8_t {
 }  // namespace
 
 VsyncSwitchLayer::VsyncSwitchLayer(std::vector<std::unique_ptr<Layer>> proto_a,
-                                   std::vector<std::unique_ptr<Layer>> proto_b,
-                                   VsyncSwitchConfig cfg)
-    : cfg_(cfg), layers_a_(std::move(proto_a)), layers_b_(std::move(proto_b)) {}
+                                   std::vector<std::unique_ptr<Layer>> proto_b)
+    : layers_a_(std::move(proto_a)), layers_b_(std::move(proto_b)) {}
 
 VsyncSwitchLayer::~VsyncSwitchLayer() = default;
 
@@ -92,6 +93,7 @@ void VsyncSwitchLayer::up(Message m) {
   try {
     channel = Mux::pop(m);
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   switch (channel) {
@@ -105,24 +107,34 @@ void VsyncSwitchLayer::up(Message m) {
       on_control(std::move(m));
       break;
     default:
+      ++stats_.decode_drops;
       break;
   }
 }
 
 void VsyncSwitchLayer::on_subprotocol_deliver(int protocol, Message m) {
+  // As in SwitchLayer: called from inside the reorder loop below, so a bad
+  // frame is counted and dropped, never thrown.
   DataType type{};
   std::uint64_t epoch = 0;
   std::uint32_t sender = 0;
   try {
     m.pop_header([&](Reader& r) {
       type = static_cast<DataType>(r.u8());
-      if (type == DataType::kData) {
-        epoch = r.u64();
-        sender = r.u32();
-        r.u64();  // per-epoch sequence, diagnostic only
+      switch (type) {
+        case DataType::kData:
+          epoch = r.u64();
+          sender = r.u32();
+          r.u64();  // per-epoch sequence, diagnostic only
+          break;
+        case DataType::kPass:
+          break;
+        default:
+          throw DecodeError("unknown vsync-switch data type");
       }
     });
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   if (type == DataType::kPass) {
@@ -130,7 +142,7 @@ void VsyncSwitchLayer::on_subprotocol_deliver(int protocol, Message m) {
     return;
   }
   if (static_cast<int>(epoch % 2) != protocol) {
-    assert(false && "epoch/protocol mismatch");
+    ++stats_.decode_drops;  // tagged for the other protocol: malformed
     return;
   }
   if (epoch == epoch_) {
@@ -219,7 +231,7 @@ void VsyncSwitchLayer::request_switch() {
     });
     Mux::push(m, kChanControl);
     ctx().send_down(std::move(m));
-    ctx().set_timer(cfg_.control_rto, [this] { coordinator_tick(); });
+    ctx().set_timer(kControlRto, [this] { coordinator_tick(); });
     return;
   }
   Message m = Message::p2p(coordinator(), {});
@@ -243,7 +255,7 @@ void VsyncSwitchLayer::coordinator_tick() {
   } else {
     send_cut();
   }
-  ctx().set_timer(cfg_.control_rto, [this] { coordinator_tick(); });
+  ctx().set_timer(kControlRto, [this] { coordinator_tick(); });
 }
 
 void VsyncSwitchLayer::begin_flush(std::uint64_t closing_epoch) {
@@ -331,9 +343,12 @@ void VsyncSwitchLayer::on_control(Message m) {
           closing = r.u64();
           from = r.u32();
           break;
+        default:
+          throw DecodeError("unknown vsync-switch control type");
       }
     });
   } catch (const DecodeError&) {
+    ++stats_.decode_drops;
     return;
   }
   switch (type) {
@@ -384,13 +399,12 @@ void VsyncSwitchLayer::on_control(Message m) {
   }
 }
 
-LayerFactory make_vsync_switch_factory(LayerFactory proto_a, LayerFactory proto_b,
-                                       VsyncSwitchConfig cfg) {
-  return [proto_a = std::move(proto_a), proto_b = std::move(proto_b),
-          cfg](NodeId self, const std::vector<NodeId>& members) {
+LayerFactory make_vsync_switch_factory(LayerFactory proto_a, LayerFactory proto_b) {
+  return [proto_a = std::move(proto_a), proto_b = std::move(proto_b)](
+             NodeId self, const std::vector<NodeId>& members) {
     std::vector<std::unique_ptr<Layer>> layers;
-    layers.push_back(std::make_unique<VsyncSwitchLayer>(proto_a(self, members),
-                                                        proto_b(self, members), cfg));
+    layers.push_back(
+        std::make_unique<VsyncSwitchLayer>(proto_a(self, members), proto_b(self, members)));
     return layers;
   };
 }

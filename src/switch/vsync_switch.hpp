@@ -41,15 +41,10 @@
 
 namespace msw {
 
-struct VsyncSwitchConfig {
-  /// Coordinator's control retransmission interval during a switch.
-  Duration control_rto = 20 * kMillisecond;
-};
-
 class VsyncSwitchLayer : public Layer {
  public:
   VsyncSwitchLayer(std::vector<std::unique_ptr<Layer>> proto_a,
-                   std::vector<std::unique_ptr<Layer>> proto_b, VsyncSwitchConfig cfg = {});
+                   std::vector<std::unique_ptr<Layer>> proto_b);
   ~VsyncSwitchLayer() override;
 
   std::string_view name() const override { return "vsync-switch"; }
@@ -72,6 +67,7 @@ class VsyncSwitchLayer : public Layer {
     std::uint64_t switches_completed = 0;
     Duration last_switch_duration = 0;  // coordinator: request to all-done
     std::uint64_t control_retransmissions = 0;
+    std::uint64_t decode_drops = 0;  // frames failing decode (data or control)
   };
   const Stats& stats() const { return stats_; }
 
@@ -92,7 +88,6 @@ class VsyncSwitchLayer : public Layer {
 
   LayerChain& chain(int protocol) { return protocol == 0 ? *chain_a_ : *chain_b_; }
 
-  VsyncSwitchConfig cfg_;
   std::vector<std::unique_ptr<Layer>> layers_a_;
   std::vector<std::unique_ptr<Layer>> layers_b_;
   std::unique_ptr<LayerChain> chain_a_;
@@ -126,8 +121,7 @@ class VsyncSwitchLayer : public Layer {
 };
 
 /// Factory: vsync switching over two sub-protocol factories.
-LayerFactory make_vsync_switch_factory(LayerFactory proto_a, LayerFactory proto_b,
-                                       VsyncSwitchConfig cfg = {});
+LayerFactory make_vsync_switch_factory(LayerFactory proto_a, LayerFactory proto_b);
 
 /// The VsyncSwitchLayer of a member stack built by the factory above.
 VsyncSwitchLayer& vsync_switch_layer_of(class Stack& stack);

@@ -4,8 +4,7 @@
 // run under the deterministic simulator (timestamps are simulated
 // microseconds, byte-reproducible for a seed) or under the real-transport
 // runtime (timestamps are monotonic wall-clock microseconds since runtime
-// start). A TelemetryHub records which domain its clock measures so
-// exporters and humans can tell a sim trace from a wall trace.
+// start).
 #pragma once
 
 #include "sim/time.hpp"
@@ -20,15 +19,5 @@ class TelemetryClock {
   /// simulation start. Wall domain: monotonic time since runtime start.
   virtual Time telemetry_now() const = 0;
 };
-
-/// Which physical quantity a run's timestamps measure.
-enum class ClockDomain : std::uint8_t {
-  kSim = 0,   // deterministic simulated microseconds
-  kWall = 1,  // monotonic wall-clock microseconds
-};
-
-constexpr const char* to_string(ClockDomain d) {
-  return d == ClockDomain::kSim ? "sim" : "wall";
-}
 
 }  // namespace msw

@@ -34,15 +34,10 @@ class TelemetryHub {
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
-  /// Clock used to stamp events: the Simulation's scheduler (sim domain) or
-  /// the runtime's wall clock (wall domain). Events emitted by tracers
-  /// created before this call keep the old clock, so attach before wiring.
-  void attach_clock(const TelemetryClock* clock, ClockDomain domain = ClockDomain::kSim) {
-    clock_ = clock;
-    clock_domain_ = domain;
-  }
-  /// Whether this run's timestamps are simulated or wall-clock time.
-  ClockDomain clock_domain() const { return clock_domain_; }
+  /// Clock used to stamp events: the Simulation's scheduler (simulated
+  /// time) or the runtime's wall clock. Events emitted by tracers created
+  /// before this call keep the old clock, so attach before wiring.
+  void attach_clock(const TelemetryClock* clock) { clock_ = clock; }
   /// Network supplying node incarnations (and whose NetStats feed the
   /// global registry via Network::bind_metrics). Last writer wins when a
   /// simulation runs several networks.
@@ -97,7 +92,6 @@ class TelemetryHub {
   std::map<std::uint32_t, std::unique_ptr<MetricsRegistry>> node_metrics_;
   std::map<std::uint32_t, std::uint32_t> node_shards_;
   const TelemetryClock* clock_ = nullptr;
-  ClockDomain clock_domain_ = ClockDomain::kSim;
   const Network* net_ = nullptr;
   TelemetrySink* sink_ = nullptr;
   bool tracing_ = false;

@@ -231,10 +231,4 @@ std::vector<std::unique_ptr<Property>> standard_properties(std::uint32_t n_procs
   return props;
 }
 
-std::vector<std::unique_ptr<Property>> extended_properties(std::uint32_t n_procs) {
-  auto props = standard_properties(n_procs);
-  props.push_back(std::make_unique<CausalOrderProperty>());
-  return props;
-}
-
 }  // namespace msw

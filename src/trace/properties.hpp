@@ -131,8 +131,4 @@ class CausalOrderProperty : public Property {
 /// 0..n_procs-1, master = 0. Order matches the paper's Table 2 rows.
 std::vector<std::unique_ptr<Property>> standard_properties(std::uint32_t n_procs);
 
-/// The catalogue plus extension properties analyzed with the same
-/// machinery (currently: Causal Order).
-std::vector<std::unique_ptr<Property>> extended_properties(std::uint32_t n_procs);
-
 }  // namespace msw

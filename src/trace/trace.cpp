@@ -34,14 +34,6 @@ TraceEvent deliver_ev(std::uint32_t process, std::uint32_t sender, std::uint64_t
   return e;
 }
 
-TraceEvent view_send_ev(std::uint32_t coordinator, std::uint64_t view_id) {
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kSend;
-  e.process = coordinator;
-  e.msg = MsgId{coordinator, view_id, MsgId::Kind::kView};
-  return e;
-}
-
 TraceEvent view_deliver_ev(std::uint32_t process, std::uint32_t coordinator,
                            std::uint64_t view_id) {
   TraceEvent e;

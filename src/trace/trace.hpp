@@ -65,7 +65,6 @@ using Trace = std::vector<TraceEvent>;
 TraceEvent send_ev(std::uint32_t sender, std::uint64_t seq, Bytes body = {});
 TraceEvent deliver_ev(std::uint32_t process, std::uint32_t sender, std::uint64_t seq,
                       Bytes body = {});
-TraceEvent view_send_ev(std::uint32_t coordinator, std::uint64_t view_id);
 TraceEvent view_deliver_ev(std::uint32_t process, std::uint32_t coordinator,
                            std::uint64_t view_id);
 

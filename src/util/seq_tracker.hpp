@@ -104,15 +104,6 @@ class SeqTracker {
     return out;
   }
 
-  /// Sequences in [contiguous, bound) not yet seen, up to `limit` of them.
-  std::vector<std::uint64_t> missing_below(std::uint64_t bound, std::size_t limit) const {
-    std::vector<std::uint64_t> out;
-    for (const SeqRange& r : missing_ranges(bound, limit)) {
-      for (std::uint64_t s = r.begin; s < r.end; ++s) out.push_back(s);
-    }
-    return out;
-  }
-
   bool has_gaps() const { return !runs_.empty(); }
   /// Number of sequences seen beyond the contiguous prefix.
   std::size_t sparse_count() const { return sparse_count_; }

@@ -163,6 +163,8 @@ TEST(CausalLayer, VectorClockWithHugeCountIsDropped) {
     h.net.send(h.group.node(0), h.group.node(dst), std::move(m.data));
   }
   h.sim.run_for(10 * kMillisecond);
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+  EXPECT_EQ(h.group.stack(2).decode_drops(), 1u);
   h.send_and_settle(0, to_bytes("after"), kSecond);
   for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
 }

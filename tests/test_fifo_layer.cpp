@@ -53,6 +53,26 @@ TEST(FifoLayer, InterleavedSendersEachFifo) {
   }
 }
 
+TEST(FifoLayer, UnknownFrameTypeIsACountedDrop) {
+  // A one-byte FIFO header of a type the layer does not define, under a
+  // well-formed application header, reaches member 1 ahead of member 0's
+  // real first message. It is a counted drop: it is not delivered (it
+  // would read as origin 0, seq 0), so it cannot shadow the real message
+  // as a duplicate either.
+  GroupHarness h(3, fifo_only());
+  Message forged = Message::group(to_bytes("forged"));
+  AppHeader::push(forged, AppHeader{AppHeader::Kind::kData, 2, 77});
+  forged.push_header([](Writer& w) { w.u8(9); });
+  h.net.send(h.group.node(0), h.group.node(1), std::move(forged.data));
+  h.sim.run_for(10 * kMillisecond);
+  h.send_and_settle(0, to_bytes("real"), kSecond);
+  const auto got = h.delivered_data(1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].sender, h.group.node(0).v);
+  EXPECT_EQ(got[0].seq, 0u);
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
 // Drive a FifoLayer directly to exercise reordering paths precisely.
 class DirectFifo : public ::testing::Test {
  protected:

@@ -14,9 +14,9 @@ using testing::GroupHarness;
 std::vector<StopAndWaitLayer*> g_sw;
 std::vector<GoBackNLayer*> g_gbn;
 
-LayerFactory stop_and_wait(LinkConfig cfg = {}) {
-  return [cfg](NodeId, const std::vector<NodeId>&) {
-    auto l = std::make_unique<StopAndWaitLayer>(cfg);
+LayerFactory stop_and_wait() {
+  return [](NodeId, const std::vector<NodeId>&) {
+    auto l = std::make_unique<StopAndWaitLayer>();
     g_sw.push_back(l.get());
     std::vector<std::unique_ptr<Layer>> layers;
     layers.push_back(std::move(l));

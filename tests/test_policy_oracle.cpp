@@ -93,30 +93,26 @@ TEST(PolicyOracle, OfferedLoadSeesSaturationTheDeliveredRateHides) {
 }
 
 TEST(PolicyOracle, TokenScoreUsesMeasuredRotationElsePrior) {
+  using namespace policy_priors;
   PolicyOracle o;
   SignalVector unmeasured;
-  const PolicyPriors pr;
   EXPECT_DOUBLE_EQ(o.score_us(ProtocolKind::kToken, unmeasured, 10),
-                   pr.token_base_us + 10 * pr.token_hop_us / 2.0);
+                   kTokenBaseUs + 10 * kTokenHopUs / 2.0);
 
   SignalVector measured;
   measured.rotation_us = 40'000;
-  EXPECT_DOUBLE_EQ(o.score_us(ProtocolKind::kToken, measured, 10),
-                   pr.token_base_us + 20'000);
+  EXPECT_DOUBLE_EQ(o.score_us(ProtocolKind::kToken, measured, 10), kTokenBaseUs + 20'000);
 }
 
 TEST(PolicyOracle, NetInflationScalesModelledBases) {
   // A degraded network (measured via the live ring rotation) must inflate
-  // the prior-scored kinds too, or the engine flees toward whichever
+  // the prior-scored sequencer too, or the engine flees toward whichever
   // protocol is blind to the degradation.
   PolicyOracle o;
   SignalVector s;
-  const PolicyPriors pr;
   const double base = o.score_us(ProtocolKind::kSequencer, s, 10, 1.0);
   const double inflated = o.score_us(ProtocolKind::kSequencer, s, 10, 2.0);
-  EXPECT_DOUBLE_EQ(inflated - base, pr.seq_base_us);
-  EXPECT_DOUBLE_EQ(o.score_us(ProtocolKind::kReliableFifo, s, 10, 2.0),
-                   2.0 * pr.fifo_base_us);
+  EXPECT_DOUBLE_EQ(inflated - base, policy_priors::kSeqBaseUs);
 }
 
 TEST(PolicyOracle, RankingCoversEveryProtocolKind) {
@@ -128,7 +124,8 @@ TEST(PolicyOracle, RankingCoversEveryProtocolKind) {
     EXPECT_GT(o.score_us(static_cast<ProtocolKind>(k), s, 10), 0.0)
         << to_string(static_cast<ProtocolKind>(k));
   }
-  EXPECT_EQ(to_string(ProtocolKind::kCausal), "causal");
+  EXPECT_EQ(to_string(ProtocolKind::kSequencer), "sequencer");
+  EXPECT_EQ(to_string(ProtocolKind::kToken), "token");
 }
 
 // ------------------------------------------- decision pipeline (synthetic)

@@ -223,26 +223,21 @@ TEST_F(ReliableTest, SentBufferCapEvictsOldest) {
 }
 
 TEST_F(ReliableTest, RangeEncodingBeatsLegacyOnWideGaps) {
-  // Same deterministic scenario under both encodings: a one-way outage
-  // opens a wide gap at member 1, which then NACKs it. The range encoding
-  // must spend far fewer control bytes than one u64 per missing sequence.
-  const auto run = [](bool legacy) {
-    g_layers.clear();
-    ReliableConfig cfg;
-    cfg.legacy_control = legacy;
-    GroupHarness h(3, reliable_only(cfg));
-    h.net.set_link_up(h.group.node(0), h.group.node(1), false);
-    for (int i = 0; i < 60; ++i) h.group.send(0, to_bytes("w"));
-    h.sim.run_for(kSecond);
-    h.net.set_link_up(h.group.node(0), h.group.node(1), true);
-    h.sim.run_for(5 * kSecond);
-    EXPECT_EQ(h.delivered_data(1).size(), 60u) << (legacy ? "legacy" : "range");
-    return g_layers[1]->stats().nack_bytes_sent;
-  };
-  const std::uint64_t range_bytes = run(false);
-  const std::uint64_t legacy_bytes = run(true);
-  EXPECT_GT(range_bytes, 0u);
-  EXPECT_LT(range_bytes * 4, legacy_bytes);
+  // A one-way outage opens a 60-sequence gap at member 1, which then NACKs
+  // it. The retired per-sequence encoding spent one u64 per missing
+  // sequence (480 bytes of entries here); the range encoding must stay
+  // under a quarter of that.
+  constexpr std::uint64_t kMissing = 60;
+  GroupHarness h(3, reliable_only());
+  h.net.set_link_up(h.group.node(0), h.group.node(1), false);
+  for (std::uint64_t i = 0; i < kMissing; ++i) h.group.send(0, to_bytes("w"));
+  h.sim.run_for(kSecond);
+  h.net.set_link_up(h.group.node(0), h.group.node(1), true);
+  h.sim.run_for(5 * kSecond);
+  EXPECT_EQ(h.delivered_data(1).size(), kMissing);
+  const std::uint64_t nack_bytes = g_layers[1]->stats().nack_bytes_sent;
+  EXPECT_GT(nack_bytes, 0u);
+  EXPECT_LT(nack_bytes, kMissing * 8 / 4);
 }
 
 TEST_F(ReliableTest, FirstBatchAfterIdlePeriodSurvivesLossBatched) {

@@ -1,7 +1,7 @@
 // Reliable-layer control-plane wire formats: varint edge values, range-NACK
-// and delta-ack-vector round trips, truncation -> DecodeError, and the
-// mixed-version rule (a legacy decoder drops the new frame types instead of
-// misparsing them, and counts the drop).
+// and delta-ack-vector round trips, truncation -> DecodeError, and frames
+// of a type the layer does not define (including the retired per-sequence
+// formats) as counted drops.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
@@ -85,8 +85,8 @@ TEST(RelWire, NackEmptyRangesRoundTrip) {
 }
 
 TEST(RelWire, NackWideGapIsCompact) {
-  // One huge contiguous hole costs a fixed handful of bytes; the legacy
-  // encoding would need 8 bytes per missing sequence.
+  // One huge contiguous hole costs a fixed handful of bytes; the retired
+  // per-sequence encoding would need 8 bytes per missing sequence.
   NackFrame f;
   f.origin = 1;
   f.ranges = {{0, 100'000}};
@@ -206,82 +206,35 @@ TEST(RelWire, EncodeAckVecRefusesOversizedVector) {
   EXPECT_THROW(relwire::encode_ack_vec(w, f), DecodeError);
 }
 
-// ----------------------------------------------------------- mixed version --
+// ------------------------------------------------------- retired formats --
 
-std::vector<ReliableLayer*> g_layers;
-
-LayerFactory mixed_factory(std::size_t legacy_member, ReliableConfig base = {}) {
-  return [legacy_member, base](NodeId, const std::vector<NodeId>& members) {
-    ReliableConfig cfg = base;
-    // The factory is called once per member in membership order; count calls
-    // via g_layers so member `legacy_member` gets the legacy decoder.
-    cfg.legacy_control = g_layers.size() == legacy_member;
-    (void)members;
-    auto layer = std::make_unique<ReliableLayer>(cfg);
-    g_layers.push_back(layer.get());
-    std::vector<std::unique_ptr<Layer>> layers;
-    layers.push_back(std::move(layer));
-    return layers;
+TEST(RelWire, RetiredTypeBytesAreCountedDrops) {
+  // Bytes 2 and 5 were the per-sequence NACK and the fixed-width ack
+  // vector, whose bodies carried a u32 entry count. Frames of those types
+  // claiming ~4G entries while holding none reach every member; each is a
+  // counted decode drop, never a misparse or a giant allocation.
+  std::vector<ReliableLayer*> layers;
+  const LayerFactory factory = [&layers](NodeId, const std::vector<NodeId>&) {
+    auto layer = std::make_unique<ReliableLayer>();
+    layers.push_back(layer.get());
+    std::vector<std::unique_ptr<Layer>> out;
+    out.push_back(std::move(layer));
+    return out;
   };
-}
-
-class MixedVersionTest : public ::testing::Test {
- protected:
-  void SetUp() override { g_layers.clear(); }
-};
-
-TEST_F(MixedVersionTest, LegacyMemberDropsNewFramesWithoutCrashing) {
-  // Member 0 runs the legacy decoder. New-format members lose frames from
-  // member 0's stream so they emit range NACKs and delta ack vectors; the
-  // legacy member must count those as decode drops, never misparse them.
-  ReliableConfig base;
-  base.ack_interval = 50 * kMillisecond;
-  GroupHarness h(3, mixed_factory(/*legacy_member=*/0, base), testing::lossy_net(0.2),
-                 /*seed=*/13);
-  for (int i = 0; i < 15; ++i) h.group.send(0, to_bytes("x" + std::to_string(i)));
-  for (int i = 0; i < 15; ++i) h.group.send(1, to_bytes("y" + std::to_string(i)));
-  h.sim.run_for(20 * kSecond);
-  // The legacy member converges fully: its own NACKs use the old format,
-  // which new members still decode and serve.
-  EXPECT_EQ(h.delivered_data(0).size(), 30u);
-  // New members converge on each other's streams; holes in the *legacy
-  // origin's* stream cannot heal (it drops their range NACKs — that is the
-  // drop-don't-misparse contract, version negotiation is out of scope), so
-  // they end at 15 + however many x-copies arrived first try.
-  for (std::size_t p = 1; p < 3; ++p) {
-    EXPECT_GE(h.delivered_data(p).size(), 25u) << "member " << p;
-  }
-  EXPECT_GT(g_layers[0]->stats().decode_drops, 0u);
-  // New-format members never drop legacy frames.
-  EXPECT_EQ(g_layers[1]->stats().decode_drops, 0u);
-  EXPECT_EQ(g_layers[2]->stats().decode_drops, 0u);
-}
-
-TEST_F(MixedVersionTest, LegacyFramesWithHugeCountsAreDroppedNotCrash) {
-  // The legacy kNack / kAckVec bodies carry a u32 entry count. A malformed
-  // frame can claim ~4G entries while holding none; the decoder must check
-  // the count against the bytes actually present BEFORE reserving storage,
-  // or the "drop malformed frames" contract turns into a 64 GB allocation
-  // attempt and an uncaught bad_alloc.
-  GroupHarness h(3, mixed_factory(/*legacy_member=*/3));  // all new-format
+  GroupHarness h(3, factory);
   const NodeId attacker = h.net.add_node();
-  Message evil_nack = Message::group({});
-  evil_nack.push_header([](Writer& w) {
-    w.u8(2);            // Type::kNack wire value
-    w.u32(0);           // origin
-    w.u32(0xFFFFFFFF);  // claimed entry count, no entries follow
-  });
-  h.net.multicast(attacker, h.group.members(), evil_nack.data);
-  Message evil_ackvec = Message::group({});
-  evil_ackvec.push_header([](Writer& w) {
-    w.u8(5);            // Type::kAckVec wire value
-    w.u32(7);           // claimed sender
-    w.u32(0xFFFFFFFF);  // claimed entry count, no entries follow
-  });
-  h.net.multicast(attacker, h.group.members(), evil_ackvec.data);
+  for (const std::uint8_t type : {std::uint8_t{2}, std::uint8_t{5}}) {
+    Message evil = Message::group({});
+    evil.push_header([type](Writer& w) {
+      w.u8(type);
+      w.u32(7);           // origin / claimed sender
+      w.u32(0xFFFFFFFF);  // claimed entry count, no entries follow
+    });
+    h.net.multicast(attacker, h.group.members(), evil.data);
+  }
   h.sim.run_for(kSecond);
   std::uint64_t drops = 0;
-  for (ReliableLayer* l : g_layers) drops += l->stats().decode_drops;
+  for (const ReliableLayer* l : layers) drops += l->stats().decode_drops;
   EXPECT_EQ(drops, 6u);  // two frames x three members, all counted drops
   // The group is unharmed and still converges.
   h.group.send(0, to_bytes("still-alive"));
@@ -289,20 +242,6 @@ TEST_F(MixedVersionTest, LegacyFramesWithHugeCountsAreDroppedNotCrash) {
   for (std::size_t p = 0; p < 3; ++p) {
     EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
   }
-}
-
-TEST_F(MixedVersionTest, AllLegacyGroupStillConverges) {
-  // Sanity: the legacy encoding is still a complete protocol on its own.
-  ReliableConfig base;
-  base.legacy_control = true;
-  GroupHarness h(3, mixed_factory(/*legacy_member=*/3, base), testing::lossy_net(0.2),
-                 /*seed=*/17);
-  for (int i = 0; i < 10; ++i) h.group.send(2, to_bytes("l" + std::to_string(i)));
-  h.sim.run_for(15 * kSecond);
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(h.delivered_data(p).size(), 10u) << "member " << p;
-  }
-  for (ReliableLayer* l : g_layers) EXPECT_EQ(l->stats().decode_drops, 0u);
 }
 
 }  // namespace

@@ -34,22 +34,6 @@ TEST(SeqTracker, GapThenFill) {
   EXPECT_FALSE(t.has_gaps());
 }
 
-TEST(SeqTracker, MissingBelow) {
-  SeqTracker t;
-  t.insert(0);
-  t.insert(3);
-  t.insert(5);
-  const auto missing = t.missing_below(6, 10);
-  EXPECT_EQ(missing, (std::vector<std::uint64_t>{1, 2, 4}));
-}
-
-TEST(SeqTracker, MissingBelowRespectsLimit) {
-  SeqTracker t;
-  t.insert(10);
-  const auto missing = t.missing_below(11, 3);
-  EXPECT_EQ(missing, (std::vector<std::uint64_t>{0, 1, 2}));
-}
-
 TEST(SeqTracker, SeenQueries) {
   SeqTracker t;
   t.insert(0);

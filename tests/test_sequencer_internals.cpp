@@ -144,7 +144,20 @@ TEST_F(SequencerInternals, GapNackWithHugeCountIsDropped) {
     h.net.send(h.group.node(0), h.group.node(dst), std::move(nack.data));
   }
   h.sim.run_for(10 * kMillisecond);
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+  EXPECT_EQ(h.group.stack(2).decode_drops(), 1u);
   h.send_and_settle(1, to_bytes("after"), kSecond);
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
+}
+
+TEST_F(SequencerInternals, UnknownFrameTypeIsACountedDrop) {
+  GroupHarness h(3, seq_stack());
+  Message m = Message::group({});
+  m.push_header([](Writer& w) { w.u8(9); });
+  h.net.send(h.group.node(0), h.group.node(1), std::move(m.data));
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+  h.send_and_settle(2, to_bytes("after"), kSecond);
   for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
 }
 

@@ -284,5 +284,46 @@ TEST(SwitchEdge, DwellClockSeededFromLayerStart) {
   EXPECT_GE(initiated(), 1u);
 }
 
+TEST(SwitchEdge, MalformedFramesAreCountedDrops) {
+  // Two sequencer frames (kSequenced: gseq, origin, oseq) on protocol A's
+  // channel reach member 1. The first carries an SP data header of a type
+  // SP does not define, the second an epoch whose parity names the token
+  // protocol. Neither reaches the application, and nothing throws out of
+  // the sequencer's reorder loop. A control frame of an undefined type,
+  // shaped like an ack, is not taken for one. All three count in
+  // sp.decode_drops.
+  GroupHarness h(3, make_hybrid_total_order_factory());
+  const auto forge = [](std::uint64_t gseq, auto&& sp_header) {
+    Message m = Message::group(to_bytes("forged"));
+    AppHeader::push(m, AppHeader{AppHeader::Kind::kData, 2, 77});
+    m.push_header(sp_header);
+    m.push_header([gseq](Writer& w) {
+      w.u8(1);
+      w.u64(gseq);
+      w.u32(0);
+      w.u64(gseq);
+    });
+    Mux::push(m, 0);
+    return std::move(m.data);
+  };
+  h.net.send(h.group.node(0), h.group.node(1), forge(0, [](Writer& w) { w.u8(7); }));
+  h.net.send(h.group.node(0), h.group.node(1), forge(1, [](Writer& w) {
+               w.u8(0);
+               w.u64(1);  // odd epoch: the token protocol's
+               w.u32(2);
+               w.u64(0);
+             }));
+  Message ctl = Message::group({});
+  ctl.push_header([](Writer& w) {
+    w.u8(9);
+    w.u64(1);
+  });
+  Mux::push(ctl, 2);
+  h.net.send(h.group.node(0), h.group.node(1), std::move(ctl.data));
+  h.sim.run_for(100 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(sl(h, 1).stats().decode_drops, 3u);
+}
+
 }  // namespace
 }  // namespace msw

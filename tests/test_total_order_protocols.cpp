@@ -133,8 +133,7 @@ TEST(ProtocolLatency, SequencerBeatsTokenAtOneSender) {
                            .duration = 3 * kSecond,
                            .warmup = 500 * kMillisecond,
                            .drain = kSecond,
-                           .body_size = 64,
-                           .jitter_phase = true};
+                           .body_size = 64};
 
   Simulation sim_a(3);
   Network net_a(sim_a.scheduler(), sim_a.fork_rng(), testing::era_net());

@@ -173,6 +173,7 @@ TEST_F(VsyncTest, FramesWithHugeCountsAreDropped) {
     h.net.send(h.group.node(0), h.group.node(1), std::move(m.data));
   }
   h.sim.run_for(10 * kMillisecond);
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 2u);
   h.send_and_settle(2, to_bytes("after"), kSecond);
   for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
   EXPECT_EQ(g_vsync[1]->current_view(), view);

@@ -148,5 +148,43 @@ TEST(VsyncSwitch, BackToBackSwitchesSerialize) {
   }
 }
 
+TEST(VsyncSwitch, MalformedFramesAreCountedDrops) {
+  // An unknown mux channel, a control frame of an undefined type, then two
+  // sequencer frames (kSequenced: gseq, origin, oseq) on protocol A's
+  // channel: one with a data type the layer does not define, one whose
+  // epoch parity names the token protocol. None reaches the application;
+  // all four count in decode_drops.
+  GroupHarness h(3, vswitch());
+  const auto forge = [](std::uint16_t channel, std::uint64_t gseq, auto&& header) {
+    Message m = Message::group(to_bytes("forged"));
+    AppHeader::push(m, AppHeader{AppHeader::Kind::kData, 2, 77});
+    m.push_header(header);
+    m.push_header([gseq](Writer& w) {
+      w.u8(1);
+      w.u64(gseq);
+      w.u32(0);
+      w.u64(gseq);
+    });
+    Mux::push(m, channel);
+    return std::move(m.data);
+  };
+  const auto unknown_type = [](Writer& w) { w.u8(7); };
+  h.net.send(h.group.node(0), h.group.node(1), forge(9, 0, unknown_type));
+  Message ctl = Message::group({});
+  ctl.push_header([](Writer& w) { w.u8(9); });
+  Mux::push(ctl, 2);
+  h.net.send(h.group.node(0), h.group.node(1), std::move(ctl.data));
+  h.net.send(h.group.node(0), h.group.node(1), forge(0, 0, unknown_type));
+  h.net.send(h.group.node(0), h.group.node(1), forge(0, 1, [](Writer& w) {
+               w.u8(0);
+               w.u64(1);  // odd epoch: the token protocol's
+               w.u32(2);
+               w.u64(0);
+             }));
+  h.sim.run_for(100 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(vs(h, 1).stats().decode_drops, 4u);
+}
+
 }  // namespace
 }  // namespace msw
