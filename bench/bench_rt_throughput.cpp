@@ -34,10 +34,10 @@
 
 #include "bench_util.hpp"
 #include "rt/loopback_transport.hpp"
-#include "rt/rt_group.hpp"
 #include "rt/stats/publisher.hpp"
 #include "rt/stats/stats_plane.hpp"
 #include "rt/udp_transport.hpp"
+#include "stack/group.hpp"
 #include "switch/hybrid.hpp"
 
 using namespace msw;
@@ -79,12 +79,12 @@ Row run_one(std::size_t n, std::size_t groups, std::size_t rounds, bool loopback
   }
   RtStatsPlane stats(ex, transport.get());
 
-  std::vector<std::unique_ptr<RtGroup>> gs;
+  std::vector<std::unique_ptr<Group>> gs;
   gs.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    gs.push_back(std::make_unique<RtGroup>(*transport, n, make_reliable_fifo_factory(), g,
-                                           /*capture_trace=*/false, /*hub=*/nullptr,
-                                           /*seed=*/0x5eed0000 + g));
+    gs.push_back(std::make_unique<Group>(*transport, n, make_reliable_fifo_factory(), g,
+                                         /*capture_trace=*/false, /*hub=*/nullptr,
+                                         /*seed=*/0x5eed0000 + g));
     stats.attach_group(*gs.back(), "g" + std::to_string(g));
   }
   ex.start();
@@ -120,7 +120,9 @@ Row run_one(std::size_t n, std::size_t groups, std::size_t rounds, bool loopback
   std::uint64_t sent_copies = 0;  // sends * n so far
   for (std::size_t r = 0; r < rounds; ++r) {
     for (auto& g : gs) {
-      for (std::size_t i = 0; i < n; ++i) g->send(i, body);
+      for (std::size_t i = 0; i < n; ++i) {
+        g->post([&group = *g, i, b = body]() mutable { group.send(i, std::move(b)); });
+      }
     }
     sent_copies += std::uint64_t{groups} * n * n;
     if ((r & 15u) == 15u) {

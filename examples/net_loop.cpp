@@ -31,10 +31,10 @@
 #include <thread>
 
 #include "rt/loopback_transport.hpp"
-#include "rt/rt_group.hpp"
 #include "rt/stats/publisher.hpp"
 #include "rt/stats/stats_plane.hpp"
 #include "rt/udp_transport.hpp"
+#include "stack/group.hpp"
 #include "switch/hybrid.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/hub.hpp"
@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
 
   // One group, pinned to shard 0. The stack is {ReliableLayer, FifoLayer} —
   // identical factory to the simulator runs in tests/.
-  RtGroup group(*transport, nodes, make_reliable_fifo_factory(), /*shard=*/0,
-                /*capture_trace=*/false, hub.get());
+  Group group(*transport, nodes, make_reliable_fifo_factory(), /*shard=*/0,
+              /*capture_trace=*/false, hub.get());
   stats.attach_group(group, "g0");
 
   if (!loopback) {
@@ -122,7 +122,9 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < msgs; ++m) {
     for (std::size_t i = 0; i < nodes; ++i) {
       const std::string body = "n" + std::to_string(i) + "#" + std::to_string(m);
-      group.send(i, Bytes(body.begin(), body.end()));
+      group.post([&group, i, b = Bytes(body.begin(), body.end())]() mutable {
+        group.send(i, std::move(b));
+      });
     }
   }
 

@@ -377,6 +377,10 @@ void Network::cancel_timer(NodeId /*node*/, TransportTimer timer) {
   sched_.cancel(unpack(timer.v));
 }
 
+void Network::post(NodeId /*node*/, std::function<void()> fn) {
+  sched_.after(0, std::move(fn));
+}
+
 void Network::consume_cpu(NodeId node, Duration d) {
   assert(node.v < nodes_.size());
   if (d <= 0) return;

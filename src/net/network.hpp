@@ -130,6 +130,11 @@ class Network final : public Transport {
   /// Simulated time.
   Time now() const override { return sched_.now(); }
 
+  /// A scheduler event at the current time: it runs after the caller
+  /// returns and after every event already due now. `call` keeps
+  /// Transport's inline default.
+  void post(NodeId node, std::function<void()> fn) override;
+
   /// Partition control. Both directions are affected independently.
   void set_link_up(NodeId from, NodeId to, bool up);
   bool link_up(NodeId from, NodeId to) const;
@@ -152,13 +157,13 @@ class Network final : public Transport {
 
   /// Crash count of a node — stamps telemetry events so a trace shows
   /// which incarnation of the node emitted them.
-  std::uint64_t incarnation(NodeId node) const { return nodes_[node.v].incarnation; }
+  std::uint64_t incarnation(NodeId node) const override { return nodes_[node.v].incarnation; }
 
   /// Attach every NetStats counter to `reg` (prefix "net.") — the telemetry
   /// plane's single sink for network counters. The hot path keeps writing
   /// the plain NetStats fields; the registry holds views, so binding costs
   /// the send/multicast path nothing.
-  void bind_metrics(MetricsRegistry& reg) const { stats_.bind_metrics(reg); }
+  void bind_metrics(MetricsRegistry& reg) const override { stats_.bind_metrics(reg); }
 
   /// Occupy the node's CPU for `d` starting now (protocol processing such
   /// as the sequencer's ordering work). Subsequent sends and receive

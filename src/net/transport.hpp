@@ -24,15 +24,19 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "net/node_id.hpp"
 #include "sim/time.hpp"
+#include "telemetry/clock.hpp"
 #include "util/function_ref.hpp"
 #include "util/payload.hpp"
 
 namespace msw {
+
+class MetricsRegistry;
 
 /// A datagram in flight. `src` is stamped by the medium; protocols must not
 /// rely on it for *authenticated* identity — that is what the integrity
@@ -62,10 +66,8 @@ struct TransportTimer {
   bool valid() const { return v != 0; }
 };
 
-class Transport {
+class Transport : public TelemetryClock {
  public:
-  virtual ~Transport() = default;
-
   /// Create a node. `shard_hint` asks threaded backends to place the node
   /// on a specific executor shard (a group pins all members to one shard);
   /// the sim ignores it. Nodes must be created during wiring, before
@@ -109,12 +111,39 @@ class Transport {
   virtual void cancel_timer(NodeId node, TransportTimer timer) = 0;
 
   /// Monotonic clock in microseconds: simulated time on the sim backend,
-  /// wall time since transport construction on real backends.
+  /// wall time since transport construction on real backends. It is also
+  /// the clock a TelemetryHub stamps events with when given this transport.
   virtual Time now() const = 0;
+  Time telemetry_now() const override { return now(); }
 
   /// Model protocol processing cost. The sim charges the node's serial
   /// CPU; real backends do nothing — processing time there is real.
   virtual void consume_cpu(NodeId node, Duration d) { (void)node; (void)d; }
+
+  /// Run `fn` on the node's execution context, after the caller returns.
+  /// Thread-safe. The sim makes it a scheduler event at the current time;
+  /// threaded backends post it to the node's shard, FIFO with its packet
+  /// and timer work.
+  virtual void post(NodeId node, std::function<void()> fn) = 0;
+
+  /// Run `fn` on the node's execution context and wait for it to finish.
+  /// The sim's single thread always is that context, so the default runs
+  /// it inline; threaded backends post and wait, unless the caller is
+  /// already on the node's shard or the executor is stopped.
+  virtual void call(NodeId node, FunctionRef<void()> fn) {
+    (void)node;
+    fn();
+  }
+
+  /// Crash count of a node, stamped on its telemetry events. Only the sim
+  /// crashes nodes.
+  virtual std::uint64_t incarnation(NodeId node) const {
+    (void)node;
+    return 0;
+  }
+
+  /// Attach the medium's own counters to `reg`. Only the sim has any.
+  virtual void bind_metrics(MetricsRegistry& reg) const { (void)reg; }
 };
 
 }  // namespace msw

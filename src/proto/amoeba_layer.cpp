@@ -37,9 +37,15 @@ void AmoebaLayer::up(Message m) {
   std::uint32_t origin = 0;
   m.pop_header([&](Reader& r) {
     type = static_cast<Type>(r.u8());
-    if (type == Type::kData) {
-      origin = r.u32();
-      r.u64();  // aseq, informational
+    switch (type) {
+      case Type::kData:
+        origin = r.u32();
+        r.u64();  // aseq, informational
+        break;
+      case Type::kPass:
+        break;
+      default:
+        throw DecodeError("unknown amoeba frame type");
     }
   });
   if (type == Type::kPass) {

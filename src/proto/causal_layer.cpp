@@ -1,7 +1,5 @@
 #include "proto/causal_layer.hpp"
 
-#include <cassert>
-
 #include "telemetry/metrics.hpp"
 
 namespace msw {
@@ -25,8 +23,7 @@ std::size_t CausalLayer::index_of(std::uint32_t member) const {
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (members[i].v == member) return i;
   }
-  assert(false && "unknown member");
-  return 0;
+  throw DecodeError("causal: origin is not a member");
 }
 
 void CausalLayer::down(Message m) {
@@ -51,25 +48,31 @@ void CausalLayer::down(Message m) {
 
 void CausalLayer::up(Message m) {
   Type type{};
-  std::uint32_t origin = 0;
+  std::size_t origin_idx = 0;
   std::vector<std::uint64_t> vc;
   m.pop_header([&](Reader& r) {
     type = static_cast<Type>(r.u8());
-    if (type == Type::kData) {
-      origin = r.u32();
-      const std::uint32_t n = r.u32();
-      // Validate the untrusted count before reserving for it.
-      if (n > r.remaining() / 8) throw DecodeError("causal: vector clock exceeds frame");
-      vc.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
+    switch (type) {
+      case Type::kData: {
+        origin_idx = index_of(r.u32());
+        const std::uint32_t n = r.u32();
+        // Validate the untrusted count before reserving for it.
+        if (n != ctx().member_count()) throw DecodeError("causal: vector clock size");
+        vc.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) vc.push_back(r.u64());
+        break;
+      }
+      case Type::kPass:
+        break;
+      default:
+        throw DecodeError("unknown causal frame type");
     }
   });
   if (type == Type::kPass) {
     ctx().deliver_up(std::move(m));
     return;
   }
-  if (vc.size() != ctx().member_count()) return;  // malformed
-  pending_.push_back(Pending{index_of(origin), std::move(vc), std::move(m)});
+  pending_.push_back(Pending{origin_idx, std::move(vc), std::move(m)});
   if (!deliverable(pending_.back())) {
     ++blocked_total_;
     tr_->instant(n_blocked_, TelemetryTrack::kData, pending_.size());

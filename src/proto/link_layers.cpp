@@ -27,6 +27,27 @@ Message make_ack(NodeId to, std::uint64_t seq) {
   return ack;
 }
 
+/// Pops either protocol's header; `seq` is set for data and acks. Throws
+/// DecodeError on a type neither defines.
+Type pop_link_header(Message& m, std::uint64_t& seq) {
+  Type type{};
+  m.pop_header([&](Reader& r) {
+    type = static_cast<Type>(r.u8());
+    switch (type) {
+      case Type::kData:
+      case Type::kAck:
+        seq = r.u64();
+        break;
+      case Type::kPass:
+      case Type::kLoop:
+        break;
+      default:
+        throw DecodeError("unknown link frame type");
+    }
+  });
+  return type;
+}
+
 }  // namespace
 
 NodeId LinkLayerBase::peer() const {
@@ -80,13 +101,8 @@ void StopAndWaitLayer::arm_timer(std::uint64_t seq) {
 }
 
 void StopAndWaitLayer::up(Message m) {
-  Type type{};
   std::uint64_t seq = 0;
-  m.pop_header([&](Reader& r) {
-    type = static_cast<Type>(r.u8());
-    if (type == Type::kData || type == Type::kAck) seq = r.u64();
-  });
-  switch (type) {
+  switch (pop_link_header(m, seq)) {
     case Type::kLoop:
     case Type::kPass:
       ctx().deliver_up(std::move(m));
@@ -163,13 +179,8 @@ void GoBackNLayer::arm_timer() {
 }
 
 void GoBackNLayer::up(Message m) {
-  Type type{};
   std::uint64_t seq = 0;
-  m.pop_header([&](Reader& r) {
-    type = static_cast<Type>(r.u8());
-    if (type == Type::kData || type == Type::kAck) seq = r.u64();
-  });
-  switch (type) {
+  switch (pop_link_header(m, seq)) {
     case Type::kLoop:
     case Type::kPass:
       ctx().deliver_up(std::move(m));

@@ -29,9 +29,16 @@ void PriorityLayer::up(Message m) {
   std::uint64_t pseq = 0;
   m.pop_header([&](Reader& r) {
     type = static_cast<Type>(r.u8());
-    if (type == Type::kData || type == Type::kRelease) {
-      origin = r.u32();
-      pseq = r.u64();
+    switch (type) {
+      case Type::kData:
+      case Type::kRelease:
+        origin = r.u32();
+        pseq = r.u64();
+        break;
+      case Type::kPass:
+        break;
+      default:
+        throw DecodeError("unknown priority frame type");
     }
   });
   switch (type) {

@@ -92,8 +92,9 @@ class EventLoop {
   static std::int64_t now_ns();
 
   /// True when called from inside run() on the loop thread. Any thread may
-  /// ask (RtGroup::call uses it to decide inline vs. post-and-wait), so the
-  /// id is atomic: acquire pairs with run()'s release publication.
+  /// ask (ThreadedTransport::call uses it to decide inline vs. post-and-
+  /// wait), so the id is atomic: acquire pairs with run()'s release
+  /// publication.
   bool on_loop_thread() const {
     return loop_thread_.load(std::memory_order_acquire) == std::this_thread::get_id();
   }

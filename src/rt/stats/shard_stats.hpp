@@ -4,7 +4,7 @@
 // Write side (loop thread):
 //   - on_timer_lag() records scheduled-vs-actual timer fire deltas into the
 //     rt.loop.lag_us histogram (installed as the loop's LoopObserver).
-//   - Group latency trackers (rt/stats/latency.hpp) record end-to-end
+//   - Group latency trackers (telemetry/latency.hpp) record end-to-end
 //     deltas into rt.latency_us.* histograms on this registry — safe with
 //     no locks because the group is pinned to this shard.
 //   - flush() mirrors the EventLoop's health counters (tasks, timers,

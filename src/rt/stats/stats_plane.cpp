@@ -1,6 +1,6 @@
 #include "rt/stats/stats_plane.hpp"
 
-#include "rt/rt_group.hpp"
+#include "stack/group.hpp"
 
 namespace msw {
 
@@ -12,7 +12,7 @@ RtStatsPlane::RtStatsPlane(Executor& ex, ThreadedTransport* transport, RtStatsCo
   }
 }
 
-LatencyTracker& RtStatsPlane::attach_group(RtGroup& g, std::string name,
+LatencyTracker& RtStatsPlane::attach_group(Group& g, std::string name,
                                            unsigned sample_shift) {
   if (name.empty()) name = "g" + std::to_string(trackers_.size());
   trackers_.emplace_back(shards_[g.shard()]->registry(), name, g.size(), sample_shift);

@@ -1,12 +1,12 @@
 // The runtime observability plane: binds an Executor (one ShardStats per
 // shard), a ThreadedTransport (traffic totals + the wall clock), and any
-// number of RtGroups (end-to-end latency) into one snapshot surface.
+// number of Groups (end-to-end latency) into one snapshot surface.
 //
 // Wiring order, all single-threaded:
 //   Executor ex(shards);
 //   LoopbackTransport net(ex);            // or Udp
 //   RtStatsPlane stats(ex, &net);         // installs loop observers
-//   RtGroup g(net, n, factory, shard);
+//   Group g(net, n, factory, shard);
 //   stats.attach_group(g, "g0");          // latency histograms on g's shard
 //   ex.start(); stats.start(); g.start(); // start() arms flush timers
 //   ...
@@ -22,13 +22,13 @@
 #include <string>
 #include <vector>
 
-#include "rt/stats/latency.hpp"
+#include "telemetry/latency.hpp"
 #include "rt/stats/shard_stats.hpp"
 #include "rt/threaded_transport.hpp"
 
 namespace msw {
 
-class RtGroup;
+class Group;
 
 struct RtStatsConfig {
   /// Shard-local publish cadence: how often each loop thread mirrors its
@@ -57,7 +57,7 @@ class RtStatsPlane {
   /// unaffected, and unsampled deliveries cost one compare, which is what
   /// keeps the instrumented data path inside the 3% overhead budget); pass
   /// 0 for exact every-message accounting (tests).
-  LatencyTracker& attach_group(RtGroup& g, std::string name = {},
+  LatencyTracker& attach_group(Group& g, std::string name = {},
                                unsigned sample_shift = 4);
 
   /// Seal every shard's layout and arm the per-shard flush timers (posted

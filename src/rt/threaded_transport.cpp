@@ -1,5 +1,7 @@
 #include "rt/threaded_transport.hpp"
 
+#include <future>
+
 namespace msw {
 
 ThreadedTransport::ThreadedTransport(Executor& ex) : ex_(ex), t0_ns_(EventLoop::now_ns()) {}
@@ -31,6 +33,21 @@ void ThreadedTransport::cancel_timer(NodeId node, TransportTimer timer) {
 
 Time ThreadedTransport::now() const {
   return (EventLoop::now_ns() - t0_ns_) / 1000;  // ns -> µs
+}
+
+void ThreadedTransport::call(NodeId node, FunctionRef<void()> fn) {
+  EventLoop& loop = loop_of(node);
+  if (loop.on_loop_thread() || !ex_.running()) {
+    fn();
+    return;
+  }
+  std::promise<void> done;
+  std::future<void> wait = done.get_future();
+  loop.post([fn, &done] {
+    fn();
+    done.set_value();
+  });
+  wait.get();
 }
 
 }  // namespace msw

@@ -17,11 +17,10 @@
 
 #include "net/transport.hpp"
 #include "rt/executor.hpp"
-#include "telemetry/clock.hpp"
 
 namespace msw {
 
-class ThreadedTransport : public Transport, public TelemetryClock {
+class ThreadedTransport : public Transport {
  public:
   explicit ThreadedTransport(Executor& ex);
 
@@ -34,7 +33,6 @@ class ThreadedTransport : public Transport, public TelemetryClock {
 
   /// Monotonic wall-clock microseconds since transport construction.
   Time now() const override;
-  Time telemetry_now() const override { return now(); }
 
   /// Short backend tag for labeling stats/bench output ("loopback", "udp").
   virtual const char* backend_name() const = 0;
@@ -45,7 +43,15 @@ class ThreadedTransport : public Transport, public TelemetryClock {
   EventLoop& loop_of(NodeId node) { return ex_.loop(nodes_[node.v].shard); }
 
   /// Run `fn` on the node's shard thread (FIFO with its packet/timer work).
-  void post(NodeId node, EventLoop::Task fn) { loop_of(node).post(std::move(fn)); }
+  void post(NodeId node, std::function<void()> fn) override {
+    loop_of(node).post(std::move(fn));
+  }
+
+  /// Run `fn` on the node's shard thread and wait. Inline when waiting
+  /// would deadlock: already on that thread, or the executor is stopped
+  /// (wiring phase / post-join teardown, where the caller is the only
+  /// thread touching the node anyway).
+  void call(NodeId node, FunctionRef<void()> fn) override;
 
   // Traffic counters (relaxed atomics; exact after the executor stops).
   std::uint64_t packets_sent() const { return sent_.load(std::memory_order_relaxed); }

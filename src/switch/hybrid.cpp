@@ -47,10 +47,8 @@ LayerFactory make_hybrid_total_order_factory(HybridConfig cfg) {
                              make_token_factory(cfg.token), cfg.oracle, cfg.sp);
 }
 
-OracleFactory make_policy_oracle_factory(PolicyConfig cfg, SignalPlane::ExternalSource ext) {
-  return [cfg, ext = std::move(ext)](NodeId) {
-    return std::make_unique<PolicyOracle>(cfg, ext);
-  };
+OracleFactory make_policy_oracle_factory(PolicyConfig cfg) {
+  return [cfg](NodeId) { return std::make_unique<PolicyOracle>(cfg); };
 }
 
 LayerFactory make_adaptive_hybrid_factory(HybridConfig cfg, PolicyConfig policy) {

@@ -39,10 +39,8 @@ struct HybridConfig {
 LayerFactory make_hybrid_total_order_factory(HybridConfig cfg = {});
 
 /// Per-member PolicyOracle factory: every node runs its own adaptive
-/// policy engine over its own signal plane. `ext` (optional) merges
-/// external fields — e.g. rt_signal_source() — into every sampled vector.
-OracleFactory make_policy_oracle_factory(PolicyConfig cfg = {},
-                                         SignalPlane::ExternalSource ext = {});
+/// policy engine over its own signal plane.
+OracleFactory make_policy_oracle_factory(PolicyConfig cfg = {});
 
 /// The hybrid total-order stack driven by the adaptive PolicyOracle —
 /// make_hybrid_total_order_factory with the policy engine plugged in.

@@ -25,10 +25,8 @@ std::string_view to_string(ProtocolKind k) {
   return "?";
 }
 
-PolicyOracle::PolicyOracle(PolicyConfig cfg, SignalPlane::ExternalSource ext)
-    : cfg_(cfg), signals_(cfg.signals), hysteresis_(cfg.dwell) {
-  if (ext) signals_.set_external_source(std::move(ext));
-}
+PolicyOracle::PolicyOracle(PolicyConfig cfg)
+    : cfg_(cfg), signals_(cfg.signals), hysteresis_(cfg.dwell) {}
 
 void PolicyOracle::attach(Services& services) {
   services_ = &services;

@@ -102,7 +102,7 @@ struct PolicyConfig {
 
 class PolicyOracle : public Oracle {
  public:
-  explicit PolicyOracle(PolicyConfig cfg = {}, SignalPlane::ExternalSource ext = {});
+  explicit PolicyOracle(PolicyConfig cfg = {});
 
   /// Bind the signal plane to the process (metrics reads + sampling timer)
   /// and register the policy's own observability gauges.

@@ -70,7 +70,6 @@ void SignalPlane::sample() {
   v.stale_rate = rate(s_sp_stale_, &p_sp_stale_, dt_s);
   v.active_senders = consult_senders_;
   v.rotation_us = consult_rotation_us_;
-  if (external_) external_(v);
 
   ring_[next_] = v;
   next_ = (next_ + 1) % ring_.size();
@@ -113,8 +112,6 @@ SignalVector SignalPlane::windowed(Duration span) const {
     out.stale_rate += v.stale_rate * w;
     wsum += w;
     out.seq_pending += v.seq_pending;
-    out.loop_lag_p99_us += v.loop_lag_p99_us;
-    out.inbox_depth += v.inbox_depth;
     ++n;
   }
   if (n == 0) return newest;
@@ -127,8 +124,6 @@ SignalVector SignalPlane::windowed(Duration span) const {
     out.stale_rate /= wsum;
   }
   out.seq_pending /= static_cast<double>(n);
-  out.loop_lag_p99_us /= static_cast<double>(n);
-  out.inbox_depth /= static_cast<double>(n);
   // Consult-pushed levels: the freshest value is the right one.
   out.active_senders = newest.active_senders;
   out.rotation_us = newest.rotation_us;

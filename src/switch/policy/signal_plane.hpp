@@ -17,15 +17,12 @@
 //   - consult-pushed: values only the switch layer knows (active senders in
 //     the configured window, measured NORMAL-token ring rotation), pushed
 //     on each oracle consult.
-// An optional external source lets the runtime's per-shard stats plane
-// (rt/stats) add loop-health fields — see rt/stats/signal_adapter.hpp.
 //
 // Everything runs on the owning process's thread (in the runtime, groups
 // are pinned to one shard), so there is no locking anywhere.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -53,10 +50,6 @@ struct SignalVector {
   // Pushed by the switch layer at consult time.
   double active_senders = 0;
   double rotation_us = 0;     // measured NORMAL-token ring rotation
-
-  // Filled by an external source (rt stats plane adapter); 0 in the sim.
-  double loop_lag_p99_us = 0;
-  double inbox_depth = 0;
 };
 
 struct SignalPlaneConfig {
@@ -67,17 +60,12 @@ struct SignalPlaneConfig {
 
 class SignalPlane {
  public:
-  /// Extra fields merged into every sampled vector (the rt stats adapter).
-  using ExternalSource = std::function<void(SignalVector&)>;
-
   explicit SignalPlane(SignalPlaneConfig cfg = {});
 
   /// Wire to a process and arm the sampling timer. Without a metrics
   /// registry the plane still works off consult-pushed signals (bare-layer
   /// tests); without services entirely it is inert.
   void bind(Services& services);
-
-  void set_external_source(ExternalSource src) { external_ = std::move(src); }
 
   /// Take one sample covering the time since the previous sample (or since
   /// bind). Timer-driven after bind(); callable directly in tests.
@@ -107,7 +95,6 @@ class SignalPlane {
   SignalPlaneConfig cfg_;
   Services* services_ = nullptr;
   MetricsView view_;
-  ExternalSource external_;
 
   // MetricsView slots.
   std::size_t s_sent_ = 0, s_delivered_ = 0, s_seq_pending_ = 0;

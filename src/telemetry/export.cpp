@@ -154,13 +154,13 @@ void write_chrome_trace(const TelemetryHub& hub, std::ostream& os) {
   }
 
   // Shard flight view: when the hub knows node -> shard pinning (runtime
-  // runs — RtGroup registers it), every event is mirrored into a "shard k"
-  // process (pid = kShardViewPidBase + shard, tid = node), so Perfetto
-  // shows one process group per EventLoop thread and shard imbalance reads
-  // directly off the wall-clock timeline. Protocol phases of different
-  // nodes on one shard can overlap in wall time (they are logical spans,
-  // not CPU spans), hence one tid per node inside the shard group rather
-  // than a single collapsed track.
+  // runs — a Group built over a Transport with a hub registers it), every
+  // event is mirrored into a "shard k" process (pid = kShardViewPidBase +
+  // shard, tid = node), so Perfetto shows one process group per EventLoop
+  // thread and shard imbalance reads directly off the wall-clock timeline.
+  // Protocol phases of different nodes on one shard can overlap in wall
+  // time (they are logical spans, not CPU spans), hence one tid per node
+  // inside the shard group rather than a single collapsed track.
   const auto& shard_map = hub.node_shards();
   constexpr std::int64_t kShardViewPidBase = 1'000'000;
   if (!shard_map.empty()) {

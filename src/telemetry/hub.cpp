@@ -2,12 +2,16 @@
 
 #include <algorithm>
 
+#include "net/transport.hpp"
+
 namespace msw {
 
-void TelemetryHub::attach_network(const Network* net) {
-  net_ = net;
+void TelemetryHub::attach_transport(const Transport& transport) {
+  if (&transport == transport_) return;
+  transport_ = &transport;
+  transport.bind_metrics(global_);
   for (auto& [node, tracer] : tracers_) {
-    tracer->configure(&names_, clock_, node, net_);
+    tracer->configure(&names_, clock_, node, transport_);
   }
 }
 
@@ -28,7 +32,7 @@ Tracer& TelemetryHub::tracer(std::uint32_t node) {
   auto it = tracers_.find(node);
   if (it == tracers_.end()) {
     it = tracers_.emplace(node, std::make_unique<Tracer>()).first;
-    it->second->configure(&names_, clock_, node, net_);
+    it->second->configure(&names_, clock_, node, transport_);
     if (tracing_) it->second->enable(ring_capacity_);
     if (sink_) it->second->set_sink(sink_);
   }

@@ -24,7 +24,7 @@
 
 namespace msw {
 
-class Network;
+class Transport;
 
 class TelemetryHub {
  public:
@@ -35,14 +35,15 @@ class TelemetryHub {
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
   /// Clock used to stamp events: the Simulation's scheduler (simulated
-  /// time) or the runtime's wall clock. Events emitted by tracers created
-  /// before this call keep the old clock, so attach before wiring.
+  /// time) or a transport's clock (wall time on threads). Events emitted
+  /// by tracers created before this call keep the old clock, so attach
+  /// before wiring.
   void attach_clock(const TelemetryClock* clock) { clock_ = clock; }
-  /// Network supplying node incarnations (and whose NetStats feed the
-  /// global registry via Network::bind_metrics). Last writer wins when a
-  /// simulation runs several networks.
-  void attach_network(const Network* net);
-  const Network* network() const { return net_; }
+  /// Transport whose nodes the tracers stamp with their incarnations, and
+  /// whose own counters (Transport::bind_metrics) join the global registry.
+  /// Attaching the attached transport again does nothing; last writer wins
+  /// when a simulation runs several networks. Group calls this.
+  void attach_transport(const Transport& transport);
 
   /// Arm every tracer with a bounded per-node ring.
   void enable_tracing(std::size_t ring_capacity = kDefaultRingCapacity);
@@ -67,9 +68,10 @@ class TelemetryHub {
   const NameTable& names() const { return names_; }
 
   /// Executor shard a node is pinned to in runtime (wall-domain) runs.
-  /// RtGroup fills this during wiring; the Chrome exporter uses it to lay
-  /// rt spans out on one track group per EventLoop thread (the per-shard
-  /// flight view). Empty for pure sim runs.
+  /// A Group built over a Transport with this hub fills it during wiring;
+  /// the Chrome exporter uses it to lay rt spans out on one track group per
+  /// EventLoop thread (the per-shard flight view). Empty for groups built
+  /// by the simulator's constructor.
   void set_node_shard(std::uint32_t node, std::uint32_t shard) { node_shards_[node] = shard; }
   const std::map<std::uint32_t, std::uint32_t>& node_shards() const { return node_shards_; }
 
@@ -92,7 +94,7 @@ class TelemetryHub {
   std::map<std::uint32_t, std::unique_ptr<MetricsRegistry>> node_metrics_;
   std::map<std::uint32_t, std::uint32_t> node_shards_;
   const TelemetryClock* clock_ = nullptr;
-  const Network* net_ = nullptr;
+  const Transport* transport_ = nullptr;
   TelemetrySink* sink_ = nullptr;
   bool tracing_ = false;
   std::size_t ring_capacity_ = kDefaultRingCapacity;

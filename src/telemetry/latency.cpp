@@ -1,4 +1,4 @@
-#include "rt/stats/latency.hpp"
+#include "telemetry/latency.hpp"
 
 namespace msw {
 

@@ -1,10 +1,11 @@
-// End-to-end wall-clock latency per group: the delta between a multicast's
-// submission to the sender's stack and each member's app-level delivery.
+// End-to-end latency per group, on its transport's clock (wall time on
+// threads): the delta between a multicast's submission to the sender's
+// stack and each member's app-level delivery.
 //
-// Everything here runs on the group's shard thread — the send stamp is
-// taken inside the posted send lambda, deliveries arrive through the
-// stack's on_deliver hook, and a group is pinned wholesale to one shard —
-// so the open-message table needs no synchronization. Messages are keyed by
+// Everything here runs on the group's execution context — Group::send
+// stamps the send, deliveries arrive through the stack's on_deliver hook,
+// and a group is pinned wholesale to one shard — so the open-message table
+// needs no synchronization. Messages are keyed by
 // (sender, seq), the same identity the trace plane uses; an entry retires
 // after `fanout` deliveries (every member, sender included, delivers).
 //
@@ -27,7 +28,7 @@
 //
 // Deliveries with no matching stamp (sends issued around the tracker's
 // attachment, evictions, or direct stack(i).send() calls that bypassed
-// RtGroup::send) are counted in `untracked`.
+// Group::send) are counted in `untracked`.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +58,11 @@ class LatencyTracker {
   /// sample_mask) so unsampled deliveries skip the indirect call entirely.
   std::uint64_t sample_mask() const { return sample_mask_; }
 
-  /// Shard thread: a multicast with (sender, seq) was submitted at `t_us`.
+  /// Group's context: a multicast with (sender, seq) was submitted at `t_us`.
   /// No-op for unsampled seqs.
   void on_send(std::uint32_t sender, std::uint64_t seq, Time t_us);
 
-  /// Shard thread: one member delivered (sender, seq) at `t_us`.
+  /// Group's context: one member delivered (sender, seq) at `t_us`.
   /// No-op for unsampled seqs.
   void on_deliver(std::uint32_t sender, std::uint64_t seq, Time t_us);
 

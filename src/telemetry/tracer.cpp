@@ -1,7 +1,6 @@
 #include "telemetry/tracer.hpp"
 
-#include "net/network.hpp"
-#include "sim/scheduler.hpp"
+#include "net/transport.hpp"
 
 namespace msw {
 
@@ -11,11 +10,11 @@ Tracer& Tracer::disabled() {
 }
 
 void Tracer::configure(NameTable* names, const TelemetryClock* clock, std::uint32_t node,
-                       const Network* net) {
+                       const Transport* transport) {
   names_ = names;
   clock_ = clock;
   node_ = node;
-  net_ = net;
+  transport_ = transport;
 }
 
 void Tracer::enable(std::size_t ring_capacity) {
@@ -27,7 +26,7 @@ void Tracer::emit(EventKind kind, std::uint32_t name, TelemetryTrack track, std:
   TelemetryEvent e;
   e.t = clock_ ? clock_->telemetry_now() : 0;
   e.epoch = epoch_;
-  e.incarnation = net_ ? net_->incarnation(NodeId{node_}) : 0;
+  e.incarnation = transport_ ? transport_->incarnation(NodeId{node_}) : 0;
   e.arg = arg;
   e.arg2 = arg2;
   e.name = name;

@@ -6,8 +6,8 @@
 // compile away entirely — the guard for "telemetry adds zero instructions
 // to the hot path" builds.
 //
-// Events are stamped with the simulated clock, the node's current
-// incarnation (pulled from the Network, so crash/restart boundaries are
+// Events are stamped with the hub's clock, the node's current incarnation
+// (pulled from the Transport, so the sim's crash/restart boundaries are
 // visible in the trace), and the SP epoch last published via set_epoch.
 #pragma once
 
@@ -24,7 +24,7 @@
 
 namespace msw {
 
-class Network;
+class Transport;
 
 class Tracer {
  public:
@@ -35,10 +35,10 @@ class Tracer {
   static Tracer& disabled();
 
   /// Wire identity and clock sources. `names` may be shared across nodes;
-  /// `net` supplies the incarnation stamp and may be null. The clock may be
-  /// a sim scheduler or a wall clock (see telemetry/clock.hpp).
+  /// `transport` supplies the incarnation stamp and may be null. The clock
+  /// may be a sim scheduler or a wall clock (see telemetry/clock.hpp).
   void configure(NameTable* names, const TelemetryClock* clock, std::uint32_t node,
-                 const Network* net);
+                 const Transport* transport);
 
   /// Attach a bounded ring and start recording.
   void enable(std::size_t ring_capacity);
@@ -90,7 +90,7 @@ class Tracer {
   TelemetrySink* sink_ = nullptr;
   NameTable* names_ = nullptr;
   const TelemetryClock* clock_ = nullptr;
-  const Network* net_ = nullptr;
+  const Transport* transport_ = nullptr;
   std::uint32_t node_ = 0;
   std::uint64_t epoch_ = 0;
 };

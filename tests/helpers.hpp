@@ -75,6 +75,22 @@ struct GroupHarness {
   Group group;
 };
 
+/// Multicast from member i, posted to the group's context: on threads,
+/// the only way a caller off the group's shard may send.
+inline void post_send(Group& g, std::size_t i, Bytes body) {
+  g.post([&g, i, body = std::move(body)]() mutable { g.send(i, std::move(body)); });
+}
+
+/// Sends member `to` what a hostile peer could: a frame whose top layer
+/// header is the single byte `type`, over a well-formed application header
+/// (sender 2, seq 77) and the body "forged".
+inline void send_forged_frame(GroupHarness& h, std::size_t to, std::uint8_t type) {
+  Message forged = Message::group(to_bytes("forged"));
+  AppHeader::push(forged, AppHeader{AppHeader::Kind::kData, 2, 77});
+  forged.push_header([type](Writer& w) { w.u8(type); });
+  h.net.send(h.group.node(0), h.group.node(to), std::move(forged.data));
+}
+
 /// Asserts that all members delivered exactly the same data messages in
 /// exactly the same order (total order + agreement).
 inline void expect_identical_delivery(GroupHarness& h) {

@@ -169,6 +169,40 @@ TEST(CausalLayer, VectorClockWithHugeCountIsDropped) {
   for (std::size_t p = 0; p < 3; ++p) EXPECT_EQ(h.delivered_data(p).size(), 1u) << "member " << p;
 }
 
+LayerFactory causal_only() {
+  return [](NodeId, const std::vector<NodeId>&) {
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<CausalLayer>());
+    return layers;
+  };
+}
+
+TEST(CausalLayer, UnknownFrameTypeIsACountedDrop) {
+  GroupHarness h(3, causal_only());
+  testing::send_forged_frame(h, 1, 9);
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
+TEST(CausalLayer, ForeignOriginIsACountedDrop) {
+  // A data frame with a well-formed vector clock from an origin outside
+  // the group: read as member 0's first message, it would be delivered.
+  GroupHarness h(3, causal_only());
+  Message forged = Message::group(to_bytes("forged"));
+  AppHeader::push(forged, AppHeader{AppHeader::Kind::kData, 2, 77});
+  forged.push_header([](Writer& w) {
+    w.u8(0);
+    w.u32(99);
+    w.u32(3);
+    for (int i = 0; i < 3; ++i) w.u64(0);
+  });
+  h.net.send(h.group.node(0), h.group.node(1), std::move(forged.data));
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
 // ------------------------------------------- classification and the nuance
 
 TEST(CausalMeta, NotDelayableWitness) {

@@ -60,10 +60,7 @@ TEST(FifoLayer, UnknownFrameTypeIsACountedDrop) {
   // would read as origin 0, seq 0), so it cannot shadow the real message
   // as a duplicate either.
   GroupHarness h(3, fifo_only());
-  Message forged = Message::group(to_bytes("forged"));
-  AppHeader::push(forged, AppHeader{AppHeader::Kind::kData, 2, 77});
-  forged.push_header([](Writer& w) { w.u8(9); });
-  h.net.send(h.group.node(0), h.group.node(1), std::move(forged.data));
+  testing::send_forged_frame(h, 1, 9);
   h.sim.run_for(10 * kMillisecond);
   h.send_and_settle(0, to_bytes("real"), kSecond);
   const auto got = h.delivered_data(1);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
@@ -219,6 +221,35 @@ TEST(Stack, DestructionCancelsTimers) {
   EXPECT_EQ(f.sim.scheduler().pending(), 0u);
   f.sim.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Group, PostRunsAsASchedulerEventAtTheCurrentTime) {
+  // On the simulator post() runs nothing inline: the task is an event at
+  // the current simulated time, behind every event already due then.
+  Fixture f;
+  Group group(f.sim, f.net, 2,
+              [](NodeId, const std::vector<NodeId>&) {
+                return std::vector<std::unique_ptr<Layer>>{};
+              });
+  f.sim.run_until(5 * kMillisecond);
+  std::vector<std::string> order;
+  f.sim.scheduler().after(0, [&] { order.push_back("due"); });
+  group.post([&] { order.push_back("posted@" + std::to_string(f.sim.now())); });
+  order.push_back("returned");
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"returned", "due", "posted@5000"}));
+}
+
+TEST(Group, CallRunsInlineOnTheSimulator) {
+  Fixture f;
+  Group group(f.sim, f.net, 2,
+              [](NodeId, const std::vector<NodeId>&) {
+                return std::vector<std::unique_ptr<Layer>>{};
+              });
+  bool ran = false;
+  group.call([&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(f.sim.scheduler().pending(), 0u);
 }
 
 }  // namespace

@@ -71,6 +71,14 @@ TEST_F(LinkLayers, StopAndWaitOnePacketInFlight) {
   EXPECT_EQ(g_sw[0]->queued(), 0u);
 }
 
+TEST_F(LinkLayers, StopAndWaitUnknownFrameTypeIsACountedDrop) {
+  GroupHarness h(2, stop_and_wait());
+  testing::send_forged_frame(h, 1, 9);
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
 TEST_F(LinkLayers, GoBackNDeliversInOrder) {
   GroupHarness h(2, go_back_n());
   for (int i = 0; i < 40; ++i) h.group.send(0, to_bytes("g" + std::to_string(i)));
@@ -99,6 +107,14 @@ TEST_F(LinkLayers, GoBackNSurvivesLoss) {
   EXPECT_EQ(h.delivered_data(1).size(), 30u);
   EXPECT_GT(g_gbn[0]->stats().retransmissions, 0u);
   EXPECT_TRUE(NoReplayProperty().holds(h.group.trace()));
+}
+
+TEST_F(LinkLayers, GoBackNUnknownFrameTypeIsACountedDrop) {
+  GroupHarness h(2, go_back_n());
+  testing::send_forged_frame(h, 1, 9);
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
 }
 
 TEST_F(LinkLayers, BidirectionalTraffic) {

@@ -85,6 +85,24 @@ TEST_F(PropertyLayers, ReleaseBeforeDataStillDelivers) {
   EXPECT_TRUE(PrioritizedDeliveryProperty(h.group.node(0).v).holds(h.group.trace()));
 }
 
+TEST_F(PropertyLayers, PriorityUnknownFrameTypeIsACountedDrop) {
+  GroupHarness h(3, priority_stack());
+  testing::send_forged_frame(h, 1, 9);
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
+TEST_F(PropertyLayers, AmoebaUnknownFrameTypeIsACountedDrop) {
+  // Read as data, the frame would deliver a message member 2 never sent
+  // (and, at member 0, release its next queued send early).
+  GroupHarness h(3, amoeba_stack());
+  testing::send_forged_frame(h, 1, 9);
+  h.sim.run_for(10 * kMillisecond);
+  EXPECT_TRUE(h.delivered_data(1).empty());
+  EXPECT_EQ(h.group.stack(1).decode_drops(), 1u);
+}
+
 TEST_F(PropertyLayers, AmoebaGatesSecondSend) {
   GroupHarness h(3, amoeba_stack());
   // Two back-to-back sends: the second must wait below the layer until the

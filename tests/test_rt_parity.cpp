@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "monitor/monitor_set.hpp"
 #include "rt/loopback_transport.hpp"
-#include "rt/rt_group.hpp"
 #include "rt/udp_transport.hpp"
 #include "sim/simulation.hpp"
 #include "stack/group.hpp"
@@ -40,47 +40,71 @@ bool eventually(Pred pred) {
   return pred();
 }
 
+/// How a scenario lets the medium under its group make progress.
+struct Drive {
+  /// Simulator: run `d` of simulated time. Threads, where the medium runs
+  /// by itself: wait until `done` holds, or ~10 s. Returns `done()`.
+  std::function<bool(Duration d, const std::function<bool()>& done)> run;
+  /// Quiesce the medium, so what the group's context wrote may be read.
+  std::function<void()> stop;
+};
+
+Drive sim_drive(Simulation& sim) {
+  return {[&sim](Duration d, const std::function<bool()>& done) {
+            sim.run_for(d);
+            return done();
+          },
+          [] {}};
+}
+
+/// Starts the executor; the drive's stop() stops it.
+Drive rt_drive(Executor& ex) {
+  ex.start();
+  return {[](Duration, const std::function<bool()>& done) { return eventually(done); },
+          [&ex] { ex.stop(); }};
+}
+
+const std::function<bool()> kNow = [] { return true; };
+
 /// Single-sender workload: member 0 multicasts kMsgs messages. With one
 /// sender, reliable-FIFO pins every process's delivery order exactly —
 /// making per-process order comparable across media with no tolerance.
-DeliveryOrder run_single_sender_sim() {
-  testing::GroupHarness h(kN, make_reliable_fifo_factory(), testing::lossy_net(0.05),
-                          /*seed=*/7);
+DeliveryOrder single_sender(Group& group, const Drive& drive) {
   DeliveryOrder order(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    h.group.stack(i).set_on_deliver([&order, i](const MsgId& id, std::span<const Byte>) {
-      order[i].emplace_back(id.sender, id.seq);
-    });
-  }
+  group.call([&] {
+    for (std::size_t i = 0; i < kN; ++i) {
+      group.stack(i).set_on_deliver([&order, i](const MsgId& id, std::span<const Byte>) {
+        order[i].emplace_back(id.sender, id.seq);
+      });
+    }
+  });
+  group.start();
   for (std::uint64_t m = 0; m < kMsgs; ++m) {
-    h.group.send(0, Bytes{Byte{0x5a}});
-    h.sim.run_for(2 * kMillisecond);
+    testing::post_send(group, 0, Bytes{Byte{0x5a}});
+    drive.run(2 * kMillisecond, kNow);
   }
-  h.sim.run_for(2 * kSecond);
+  EXPECT_TRUE(drive.run(2 * kSecond, [&] { return group.total_delivered() == kN * kMsgs; }));
+  drive.stop();
   return order;
 }
 
-DeliveryOrder run_single_sender_rt(ThreadedTransport& tr, Executor& ex) {
-  RtGroup group(tr, kN, make_reliable_fifo_factory());
-  DeliveryOrder order(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    group.stack(i).set_on_deliver([&order, i](const MsgId& id, std::span<const Byte>) {
-      order[i].emplace_back(id.sender, id.seq);
-    });
-  }
-  ex.start();
-  group.start();
-  for (std::uint64_t m = 0; m < kMsgs; ++m) group.send(0, Bytes{Byte{0x5a}});
-  EXPECT_TRUE(eventually([&] { return group.total_delivered() == kN * kMsgs; }));
-  ex.stop();
-  return order;
+DeliveryOrder single_sender_over_sim() {
+  Simulation sim(/*seed=*/7);
+  Network net(sim.scheduler(), sim.fork_rng(), testing::lossy_net(0.05));
+  Group group(sim, net, kN, make_reliable_fifo_factory());
+  return single_sender(group, sim_drive(sim));
+}
+
+DeliveryOrder single_sender_over(ThreadedTransport& tr, Executor& ex) {
+  Group group(tr, kN, make_reliable_fifo_factory());
+  return single_sender(group, rt_drive(ex));
 }
 
 TEST(RtParity, SingleSenderDeliveryOrderIdenticalSimVsLoopback) {
-  const DeliveryOrder sim = run_single_sender_sim();
+  const DeliveryOrder sim = single_sender_over_sim();
   Executor ex(2);
   LoopbackTransport tr(ex);
-  const DeliveryOrder rt = run_single_sender_rt(tr, ex);
+  const DeliveryOrder rt = single_sender_over(tr, ex);
   ASSERT_EQ(sim.size(), rt.size());
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(sim[i].size(), kMsgs) << "sim process " << i;
@@ -93,10 +117,10 @@ TEST(RtParity, SingleSenderDeliveryOrderIdenticalSimVsUdp) {
   if (!UdpTransport::available()) {
     GTEST_SKIP() << "cannot bind loopback UDP sockets in this environment";
   }
-  const DeliveryOrder sim = run_single_sender_sim();
+  const DeliveryOrder sim = single_sender_over_sim();
   Executor ex(2);
   UdpTransport tr(ex);
-  const DeliveryOrder rt = run_single_sender_rt(tr, ex);
+  const DeliveryOrder rt = single_sender_over(tr, ex);
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(sim[i], rt[i]) << "delivery order diverged at process " << i;
   }
@@ -112,7 +136,20 @@ MonitorOptions sequencer_monitor_opts(std::size_t members) {
 /// Multi-sender total-order workload: every member sends interleaved. The
 /// sequencer does not promise one specific interleaving across media — the
 /// claim is the *property*: one total order, no loss, no duplicates. The
-/// streaming monitors check exactly that on both backends.
+/// streaming monitors, attached to the group's hub, check exactly that.
+void sequencer_monitors_clean(Group& group, MonitorSet& monitors, const Drive& drive) {
+  group.start();
+  for (std::uint64_t m = 0; m < 100; ++m) {
+    for (std::size_t i = 0; i < 4; ++i) testing::post_send(group, i, Bytes{Byte{0x11}});
+    drive.run(3 * kMillisecond, kNow);
+  }
+  EXPECT_TRUE(drive.run(2 * kSecond, [&] { return group.total_delivered() == 4u * 4u * 100u; }));
+  const Time end = group.transport().now();
+  drive.stop();
+  monitors.finalize(end);
+  EXPECT_TRUE(monitors.ok()) << monitors.first_reason();
+}
+
 TEST(RtParity, SequencerMonitorsVerdictCleanOverSim) {
   Simulation sim(/*seed=*/11);
   Network net(sim.scheduler(), sim.fork_rng(), testing::lossy_net(0.05));
@@ -120,15 +157,7 @@ TEST(RtParity, SequencerMonitorsVerdictCleanOverSim) {
   monitors.add_total_order();
   monitors.add_reliable();
   Group group(sim, net, 4, make_sequencer_factory(), /*capture_trace=*/false);
-  group.start();
-  for (std::uint64_t m = 0; m < 100; ++m) {
-    for (std::size_t i = 0; i < 4; ++i) group.send(i, Bytes{Byte{0x11}});
-    sim.run_for(3 * kMillisecond);
-  }
-  sim.run_for(2 * kSecond);
-  EXPECT_EQ(group.total_delivered(), 4u * 4u * 100u);
-  monitors.finalize(sim.now());
-  EXPECT_TRUE(monitors.ok()) << monitors.first_reason();
+  sequencer_monitors_clean(group, monitors, sim_drive(sim));
 }
 
 TEST(RtParity, SequencerMonitorsVerdictCleanOverLoopback) {
@@ -141,17 +170,8 @@ TEST(RtParity, SequencerMonitorsVerdictCleanOverLoopback) {
   // One shard for the whole group: every telemetry emission (and so every
   // monitor callback) happens on that shard's thread — the monitors need
   // no locks over the real transport either.
-  RtGroup group(tr, 4, make_sequencer_factory(), /*shard=*/0, /*capture_trace=*/false, &hub);
-  ex.start();
-  group.start();
-  for (std::uint64_t m = 0; m < 100; ++m) {
-    for (std::size_t i = 0; i < 4; ++i) group.send(i, Bytes{Byte{0x11}});
-  }
-  EXPECT_TRUE(eventually([&] { return group.total_delivered() == 4u * 4u * 100u; }));
-  const Time end = tr.now();
-  ex.stop();
-  monitors.finalize(end);
-  EXPECT_TRUE(monitors.ok()) << monitors.first_reason();
+  Group group(tr, 4, make_sequencer_factory(), /*shard=*/0, /*capture_trace=*/false, &hub);
+  sequencer_monitors_clean(group, monitors, rt_drive(ex));
 }
 
 }  // namespace

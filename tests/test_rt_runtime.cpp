@@ -19,10 +19,12 @@
 #include "rt/event_loop.hpp"
 #include "rt/executor.hpp"
 #include "rt/loopback_transport.hpp"
-#include "rt/rt_group.hpp"
 #include "rt/udp_transport.hpp"
+#include "stack/group.hpp"
 #include "switch/hybrid.hpp"
 #include "util/rng.hpp"
+
+#include "helpers.hpp"
 
 namespace msw {
 namespace {
@@ -130,7 +132,7 @@ TEST(LoopbackTransport, RawSendReachesHandlerOnOtherShard) {
 TEST(LoopbackTransport, ReliableFifoGroupDeliversEverythingInSenderOrder) {
   Executor ex(2);
   LoopbackTransport tr(ex);
-  RtGroup group(tr, 3, make_reliable_fifo_factory(), /*shard=*/1);
+  Group group(tr, 3, make_reliable_fifo_factory(), /*shard=*/1);
   // Per-receiver, per-sender sequence log. Installed before start, read
   // after stop — the shard thread is the only writer in between.
   constexpr std::size_t kN = 3;
@@ -145,7 +147,7 @@ TEST(LoopbackTransport, ReliableFifoGroupDeliversEverythingInSenderOrder) {
   group.start();
   constexpr std::uint64_t kMsgs = 50;
   for (std::uint64_t m = 0; m < kMsgs; ++m) {
-    for (std::size_t i = 0; i < kN; ++i) group.send(i, body_of("m"));
+    for (std::size_t i = 0; i < kN; ++i) testing::post_send(group, i, body_of("m"));
   }
   ASSERT_TRUE(eventually([&] { return group.total_delivered() == kN * kN * kMsgs; }));
   ex.stop();
@@ -159,6 +161,31 @@ TEST(LoopbackTransport, ReliableFifoGroupDeliversEverythingInSenderOrder) {
   }
 }
 
+TEST(LoopbackTransport, GroupCallFromItsShardRunsInline) {
+  // A task on the group's shard that calls call() runs the function there
+  // and then; posting it and waiting would wait on the waiting thread.
+  Executor ex(2);
+  LoopbackTransport tr(ex);
+  Group group(tr, 2, make_reliable_fifo_factory(), /*shard=*/1);
+  ex.start();
+  group.start();
+  std::atomic<bool> done{false};
+  bool on_shard = false;  // written on the shard, read after the stop
+  std::vector<int> order;
+  group.post([&] {
+    group.call([&] {
+      on_shard = tr.loop_of(group.node(0)).on_loop_thread();
+      order.push_back(1);
+    });
+    order.push_back(2);
+    done.store(true);
+  });
+  ASSERT_TRUE(eventually([&] { return done.load(); }));
+  ex.stop();
+  EXPECT_TRUE(on_shard);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(LoopbackTransport, IdleHybridRingsArePaced) {
   // Unpaced, an idle 10-member hybrid on threads passes SP's NORMAL token
   // ~200k times a second. Paced, each member forwards each ring's token at
@@ -167,7 +194,7 @@ TEST(LoopbackTransport, IdleHybridRingsArePaced) {
   constexpr std::size_t kN = 10;
   Executor ex(1);
   LoopbackTransport tr(ex);
-  RtGroup group(tr, kN, make_hybrid_total_order_factory());
+  Group group(tr, kN, make_hybrid_total_order_factory());
   ex.start();
   group.start();
   const auto counts = [&group] {
@@ -204,13 +231,13 @@ TEST(UdpTransport, ReliableFifoGroupDeliversOverRealSockets) {
   }
   Executor ex(2);
   UdpTransport tr(ex);
-  RtGroup group(tr, 4, make_reliable_fifo_factory());
+  Group group(tr, 4, make_reliable_fifo_factory());
   for (std::size_t i = 0; i < 4; ++i) EXPECT_GT(tr.port_of(group.node(i)), 0u);
   ex.start();
   group.start();
   constexpr std::uint64_t kMsgs = 100;
   for (std::uint64_t m = 0; m < kMsgs; ++m) {
-    for (std::size_t i = 0; i < 4; ++i) group.send(i, body_of("udp"));
+    for (std::size_t i = 0; i < 4; ++i) testing::post_send(group, i, body_of("udp"));
   }
   // The ReliableLayer's NACK/heartbeat machinery recovers kernel-dropped
   // datagrams, so full delivery is guaranteed, not probabilistic.

@@ -16,13 +16,12 @@
 #include "rt/event_loop.hpp"
 #include "rt/executor.hpp"
 #include "rt/loopback_transport.hpp"
-#include "rt/rt_group.hpp"
 #include "rt/stats/publisher.hpp"
 #include "rt/stats/seqlock.hpp"
 #include "rt/stats/shard_stats.hpp"
-#include "rt/stats/signal_adapter.hpp"
 #include "rt/stats/stats_plane.hpp"
 #include "sim/simulation.hpp"
+#include "stack/group.hpp"
 #include "stack/stack.hpp"
 #include "switch/hybrid.hpp"
 #include "telemetry/stats_io.hpp"
@@ -215,44 +214,6 @@ TEST(ShardStats, SnapshotsNeverGoBackwardsUnderContinuousPublishing) {
   EXPECT_EQ(snap.find_scalar("test.published")->value, published);
 }
 
-// ----------------------------------------------------------- signal adapter
-
-TEST(RtSignalAdapter, UnsealedStatsLeaveVectorUntouched) {
-  // The adapter must be safe to install before the wiring phase finishes:
-  // a not-yet-sealed stats plane contributes nothing rather than garbage.
-  EventLoop loop;
-  ShardStats ss(loop, 0);
-  SignalVector v;
-  v.loop_lag_p99_us = 42;
-  v.inbox_depth = 7;
-  rt_signal_source(ss)(v);
-  EXPECT_EQ(v.loop_lag_p99_us, 42);
-  EXPECT_EQ(v.inbox_depth, 7);
-}
-
-TEST(RtSignalAdapter, FillsLoopHealthFieldsFromSnapshot) {
-  EventLoop loop;
-  ShardStats ss(loop, 0);
-  ss.seal();
-  std::thread runner([&] { loop.run(); });
-  std::atomic<bool> flushed{false};
-  loop.post([&] {
-    ss.flush();
-    flushed.store(true);
-  });
-  ASSERT_TRUE(eventually([&] { return flushed.load(); }));
-  loop.stop();
-  runner.join();
-
-  SignalVector v;
-  rt_signal_source(ss)(v);
-  // Loop-health fields decode from the sealed snapshot: whatever lag the
-  // loop actually saw, the adapter must surface it as a finite, nonnegative
-  // number (0 is fine on an idle loop without the stats-enabled probes).
-  EXPECT_GE(v.loop_lag_p99_us, 0.0);
-  EXPECT_GE(v.inbox_depth, 0.0);
-}
-
 // -------------------------------------------------------------- stats plane
 
 TEST(RtStatsPlane, SnapshotUnderLoadIsConsistent) {
@@ -261,7 +222,7 @@ TEST(RtStatsPlane, SnapshotUnderLoadIsConsistent) {
   Executor ex(2);
   LoopbackTransport tr(ex);
   RtStatsPlane plane(ex, &tr, RtStatsConfig{5 * kMillisecond});
-  RtGroup group(tr, kN, make_reliable_fifo_factory(), /*shard=*/0);
+  Group group(tr, kN, make_reliable_fifo_factory(), /*shard=*/0);
   plane.attach_group(group, "g0", /*sample_shift=*/0);  // exact accounting
   const StopOnExit stop_on_exit{ex};
   ex.start();
@@ -269,7 +230,9 @@ TEST(RtStatsPlane, SnapshotUnderLoadIsConsistent) {
   group.start();
 
   for (std::size_t m = 0; m < kMsgs; ++m) {
-    for (std::size_t i = 0; i < kN; ++i) group.send(i, body_of("m" + std::to_string(m)));
+    for (std::size_t i = 0; i < kN; ++i) {
+      testing::post_send(group, i, body_of("m" + std::to_string(m)));
+    }
   }
 
   // Collect concurrently with the traffic: every snapshot must be
@@ -317,7 +280,7 @@ TEST(RtStatsPlane, LatencyAccountsEveryDelivery) {
   Executor ex(1);
   LoopbackTransport tr(ex);
   RtStatsPlane plane(ex, &tr);
-  RtGroup group(tr, kN, make_reliable_fifo_factory());
+  Group group(tr, kN, make_reliable_fifo_factory());
   // Default name ("g0"); shift 0 so every delivery must be accounted.
   LatencyTracker& lat = plane.attach_group(group, {}, /*sample_shift=*/0);
   const StopOnExit stop_on_exit{ex};
@@ -325,7 +288,7 @@ TEST(RtStatsPlane, LatencyAccountsEveryDelivery) {
   plane.start();
   group.start();
   for (std::size_t m = 0; m < kMsgs; ++m) {
-    for (std::size_t i = 0; i < kN; ++i) group.send(i, body_of("x"));
+    for (std::size_t i = 0; i < kN; ++i) testing::post_send(group, i, body_of("x"));
   }
   const std::uint64_t expect = std::uint64_t{kN} * kN * kMsgs;
   ASSERT_TRUE(eventually([&] { return group.total_delivered() >= expect; }));
@@ -467,7 +430,7 @@ TEST(StatsPublisher, WritesJsonlTicksAndStopsCleanly) {
   Executor ex(2);
   LoopbackTransport tr(ex);
   RtStatsPlane plane(ex, &tr, RtStatsConfig{5 * kMillisecond});
-  RtGroup group(tr, kN, make_reliable_fifo_factory(), /*shard=*/1);
+  Group group(tr, kN, make_reliable_fifo_factory(), /*shard=*/1);
   plane.attach_group(group, {}, /*sample_shift=*/0);
   ex.start();
   plane.start();
@@ -481,7 +444,7 @@ TEST(StatsPublisher, WritesJsonlTicksAndStopsCleanly) {
   pub.start();
 
   for (std::size_t m = 0; m < 50; ++m) {
-    for (std::size_t i = 0; i < kN; ++i) group.send(i, body_of("p"));
+    for (std::size_t i = 0; i < kN; ++i) testing::post_send(group, i, body_of("p"));
   }
   const std::uint64_t expect = std::uint64_t{kN} * kN * 50;
   ASSERT_TRUE(eventually([&] { return group.total_delivered() >= expect; }));
